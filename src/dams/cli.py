@@ -131,16 +131,17 @@ def cmd_eval(args):
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
     print(f"auc {report.auc:.6f} ap {report.ap:.6f}")
     if args.csv is not None:
-        _write_score_csv(args.csv, records, model)
+        _write_score_csv(args.csv, records,
+                         [row["scores"] for row in report.per_video])
     return EXIT_OK
 
 
-def _write_score_csv(path, records, model):
+def _write_score_csv(path, records, video_scores):
+    """One row per frame; `video_scores[i]` holds the scores of `records[i]`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame", "score", "gt"])
-        for rec in records:
-            scores = score_video(model, rec)
+        for rec, scores in zip(records, video_scores, strict=True):
             for t, s in enumerate(scores):
                 gt = "" if rec.frame_gt is None else int(rec.frame_gt[t])
                 writer.writerow([rec.id, t, f"{s:.10f}", gt])
@@ -149,7 +150,8 @@ def _write_score_csv(path, records, model):
 def cmd_score(args):
     records = load_dataset(args.dataset)
     model, _, _ = load_model_for_inference(args.checkpoint)
-    _write_score_csv(args.out, records, model)
+    _write_score_csv(args.out, records,
+                     [score_video(model, rec) for rec in records])
     print(f"wrote per-frame scores for {len(records)} videos to {args.out}")
     return EXIT_OK
 

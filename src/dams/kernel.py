@@ -128,9 +128,12 @@ def avg_pool1d_backward(g, cache):
     (B, C, T), kernel, stride, padding, counts = cache
     gd = g / counts
     dxp = np.zeros((B, C, T + 2 * padding))
-    starts = np.arange(g.shape[2]) * stride
+    span = stride * (g.shape[2] - 1) + 1
+    # Tap k of window t lands on padded position t*stride + k. Within one tap
+    # those positions are distinct, so a strided slice receives exactly the
+    # additions a scatter over `starts + k` would, in the same order.
     for k in range(kernel):
-        dxp[:, :, starts + k] += gd
+        dxp[:, :, k:k + span:stride] += gd
     return dxp[:, :, padding:padding + T] if padding else dxp
 
 

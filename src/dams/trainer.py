@@ -490,13 +490,7 @@ def load_model_for_inference(path):
     cfg = config_from_dict(meta["config"])
     model, weights = build_model(cfg)
     prefix = "" if "uncertainty.rho" in arrays else "best/"
-    targets = dict(model.state_arrays())
-    targets["uncertainty.rho"] = weights.rho.value
-    for name, dst in targets.items():
-        src = arrays.get(prefix + name)
-        if src is None:
-            raise ConfigError(f"checkpoint is missing array {name!r}")
-        dst[...] = src.reshape(dst.shape)
+    _restore_state(arrays, model, weights, None, prefix)
     return model, cfg, meta
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
+from dams.data import load_dataset
 
 SMALL_MODEL_JSON = {
     "model": {"input_dim": 6, "channels": 8, "depth": 1, "head_hidden": 4,
@@ -118,6 +119,28 @@ class TestEvalScorePlot:
         assert set(rows[0]) == {"video_id", "frame", "score", "gt"}
         assert all(0.0 <= float(r["score"]) <= 1.0 for r in rows)
         assert all(r["gt"] in ("0", "1") for r in rows)
+
+    def test_eval_csv_scores_each_video_once(self, tmp_path, dataset, trained,
+                                             monkeypatch):
+        import dams.cli
+        import dams.trainer
+        calls = []
+        real = dams.trainer.score_video
+
+        def counting(model, record):
+            calls.append(record.id)
+            return real(model, record)
+        monkeypatch.setattr(dams.trainer, "score_video", counting)
+        monkeypatch.setattr(dams.cli, "score_video", counting)
+        ckpt = str(trained / "checkpoint_final.ckpt")
+        eval_csv = tmp_path / "eval.csv"
+        assert main(["eval", "--dataset", str(dataset), "--checkpoint", ckpt,
+                     "--csv", str(eval_csv)]) == EXIT_OK
+        assert calls == [rec.id for rec in load_dataset(dataset)]
+        score_csv = tmp_path / "score.csv"
+        assert main(["score", "--dataset", str(dataset), "--checkpoint", ckpt,
+                     "--out", str(score_csv)]) == EXIT_OK
+        assert eval_csv.read_bytes() == score_csv.read_bytes()
 
     def test_corrupted_checkpoint_exit_code(self, tmp_path, dataset, trained):
         ckpt = trained / "checkpoint_final.ckpt"

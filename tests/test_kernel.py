@@ -94,6 +94,52 @@ class TestPooling:
         np.testing.assert_array_equal(out, np.full((1, 1, 4), -100.0))
 
 
+def avg_pool1d_backward_scatter(g, cache):
+    """Reference: scatter each window tap through a fancy index."""
+    (B, C, T), kernel_size, stride, padding, counts = cache
+    gd = g / counts
+    dxp = np.zeros((B, C, T + 2 * padding))
+    starts = np.arange(g.shape[2]) * stride
+    for k in range(kernel_size):
+        dxp[:, :, starts + k] += gd
+    return dxp[:, :, padding:padding + T] if padding else dxp
+
+
+# (kernel, stride, padding, T): the pyramid scales s with padding s//2, then
+# strided windows and inputs exactly as long as kernel - 2*padding.
+POOL_GEOMETRIES = (
+    [(s, 1, s // 2, T) for s in (1, 3, 9, 27) for T in (1, 2, 9, 40)]
+    + [(4, 2, 1, 11), (4, 2, 1, 2), (5, 3, 2, 13), (5, 3, 2, 1),
+       (9, 1, 2, 5), (7, 2, 0, 7), (6, 5, 2, 2), (29, 3, 14, 30)])
+
+
+class TestAvgPoolBackward:
+    @pytest.mark.parametrize("kernel_size,stride,padding,T", POOL_GEOMETRIES)
+    def test_bit_identical_to_scatter(self, kernel_size, stride, padding, T):
+        rng = np.random.default_rng([kernel_size, stride, padding, T])
+        x = rng.standard_normal((2, 3, T))
+        out, cache = kernel.avg_pool1d(x, kernel_size, stride, padding)
+        g = rng.standard_normal(out.shape)
+        assert np.array_equal(kernel.avg_pool1d_backward(g, cache),
+                              avg_pool1d_backward_scatter(g, cache))
+
+    @pytest.mark.parametrize("kernel_size,stride,padding,T",
+                             [(9, 1, 4, 12), (27, 1, 13, 30), (4, 2, 1, 11),
+                              (5, 3, 2, 13)])
+    def test_gradient(self, kernel_size, stride, padding, T):
+        rng = np.random.default_rng(kernel_size)
+        x = Parameter(rng.uniform(-1, 1, (2, 2, T)), "x")
+        out_shape = kernel.avg_pool1d(x.value, kernel_size, stride, padding)[0].shape
+        r = rng.uniform(-1, 1, out_shape)
+
+        def fn():
+            out, cache = kernel.avg_pool1d(x.value, kernel_size, stride, padding)
+            x.grad += kernel.avg_pool1d_backward(r, cache)
+            return (out * r).sum()
+        report = grad_check(fn, [x], tolerance=1e-8)
+        assert report.passed, report.max_rel_error
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         out, _ = kernel.global_avg_pool(np.full((2, 3, 5), 1.25))

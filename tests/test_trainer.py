@@ -4,6 +4,7 @@ plumbing."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,20 @@ class TestTraining:
         model, _, meta = load_model_for_inference(tmp_path / "checkpoint_best.ckpt")
         report = evaluate(model, records[:4])
         assert abs(report.auc - result.best_auc) < 1e-12
+
+    def test_inference_load_from_best_prefixed_arrays(self, tmp_path):
+        train(small_config(max_iterations=2), small_records(), out_dir=tmp_path)
+        arrays, meta = load_checkpoint(tmp_path / "checkpoint_final.ckpt")
+        best = {k: v for k, v in arrays.items() if k.startswith("best/")}
+        save_checkpoint(tmp_path / "prefixed.ckpt", best, meta)
+        model, _, _ = load_model_for_inference(tmp_path / "prefixed.ckpt")
+        for name, value in model.state_arrays().items():
+            assert np.array_equal(value, best["best/" + name])
+        missing = sorted(best)[0]
+        del best[missing]
+        save_checkpoint(tmp_path / "missing.ckpt", best, meta)
+        with pytest.raises(ConfigError, match=re.escape(repr(missing))):
+            load_model_for_inference(tmp_path / "missing.ckpt")
 
 
 class TestEvaluate:
