@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .layers import BatchNorm1d, Conv1d, Linear, Relu, Sigmoid
+from .layers import BatchNorm1d, Conv1d, Layer, Linear, Relu, Sigmoid
 
 
 class ConfigError(ValueError):
@@ -51,35 +51,37 @@ class PyramidConfig:
                 f"reduction_ratio {self.reduction_ratio} must divide channels {self.channels}")
 
 
-class TppBranch:
+class TppBranch(Layer):
     """One pyramid scale: avg_pool(s, stride 1, pad s//2) -> conv1x1 -> BN -> ReLU."""
 
     def __init__(self, scale, channels, rng, name):
+        super().__init__()
         self.scale = scale
         self.conv = Conv1d(channels, channels, 1, 0, rng, f"{name}.conv")
         self.bn = BatchNorm1d(channels, f"{name}.bn")
         self.act = Relu()
-        self._pool_cache = None
 
-    def forward(self, x, train):
-        pooled, self._pool_cache = kernel.avg_pool1d(
-            x, self.scale, stride=1, padding=self.scale // 2)
-        return self.act.forward(self.bn.forward(self.conv.forward(pooled), train))
+    def forward(self, x, train=False):
+        pooled = self._record(train, *kernel.avg_pool1d(
+            x, self.scale, stride=1, padding=self.scale // 2))
+        h = self.bn.forward(self.conv.forward(pooled, train), train)
+        return self.act.forward(h, train)
 
     def backward(self, g):
         g = self.conv.backward(self.bn.backward(self.act.backward(g)))
-        return kernel.avg_pool1d_backward(g, self._pool_cache)
+        return kernel.avg_pool1d_backward(g, self._caches.pop())
 
     def params(self):
         return self.conv.params() + self.bn.params()
 
 
-class Tpp:
+class Tpp(Layer):
     def __init__(self, cfg: PyramidConfig, rng, name="tpp"):
+        super().__init__()
         self.branches = [TppBranch(s, cfg.channels, rng, f"{name}.s{s}")
                          for s in cfg.scales]
 
-    def forward(self, x, train):
+    def forward(self, x, train=False):
         return [br.forward(x, train) for br in self.branches]
 
     def backward(self, grads):
@@ -93,10 +95,11 @@ class Tpp:
         return [p for br in self.branches for p in br.params()]
 
 
-class Aff:
+class Aff(Layer):
     """Adaptive feature fusion over pyramid branches."""
 
     def __init__(self, cfg: PyramidConfig, rng, name="aff", adaptive=True):
+        super().__init__()
         c, r, k = cfg.channels, cfg.reduction_ratio, len(cfg.scales)
         self.k = k
         self.adaptive = adaptive
@@ -109,9 +112,8 @@ class Aff:
         self.head = Linear(k * c, k, rng, f"{name}.head",
                            bias_init=0.0, weight_scale=0.1)
         self.refine = Conv1d(c, c, 1, 0, rng, f"{name}.refine")
-        self._cache = None
 
-    def forward(self, branches):
+    def forward(self, branches, train=False):
         if len(branches) == 0:
             raise EmptyPyramidError("aff_forward: no branches")
         if len(branches) != self.k:
@@ -123,9 +125,10 @@ class Aff:
             for br in branches:
                 e, gc = kernel.global_avg_pool(br)
                 gap_caches.append(gc)
-                descs.append(self.mlp2.forward(self.act.forward(self.mlp1.forward(e))))
+                h = self.act.forward(self.mlp1.forward(e, train), train)
+                descs.append(self.mlp2.forward(h, train))
             concat = np.concatenate(descs, axis=1)
-            logits = self.head.forward(concat)
+            logits = self.head.forward(concat, train)
             weights, sm_cache = kernel.softmax(logits, axis=1)
         else:
             gap_caches = None
@@ -134,12 +137,12 @@ class Aff:
         mix = np.zeros_like(branches[0])
         for i, br in enumerate(branches):
             mix += weights[:, i, None, None] * br
-        fused = self.refine.forward(mix)
-        self._cache = (branches, weights, gap_caches, sm_cache)
-        return fused, weights
+        fused = self.refine.forward(mix, train)
+        return self._record(train, (fused, weights),
+                            (branches, weights, gap_caches, sm_cache))
 
     def backward(self, g_fused):
-        branches, weights, gap_caches, sm_cache = self._cache
+        branches, weights, gap_caches, sm_cache = self._caches.pop()
         g_mix = self.refine.backward(g_fused)
         g_branches = [weights[:, i, None, None] * g_mix for i in range(self.k)]
         if self.adaptive:
@@ -161,10 +164,11 @@ class Aff:
         return self.refine.params()
 
 
-class Tce:
+class Tce(Layer):
     """Channel gate: out = x * sigmoid(W2 relu(W1 gap(x))), broadcast over T."""
 
     def __init__(self, channels, reduction_ratio, rng, name="tce"):
+        super().__init__()
         if channels % reduction_ratio:
             raise ConfigError(
                 f"tce: reduction ratio {reduction_ratio} must divide channels {channels}")
@@ -177,17 +181,15 @@ class Tce:
                            bias_init=0.0, weight_scale=0.1)
         self.act = Relu()
         self.gate = Sigmoid()
-        self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, train=False):
         z, gap_cache = kernel.global_avg_pool(x)
-        alpha = self.gate.forward(self.lin2.forward(self.act.forward(self.lin1.forward(z))))
-        out = x * alpha[:, :, None]
-        self._cache = (x, alpha, gap_cache)
-        return out
+        h = self.act.forward(self.lin1.forward(z, train), train)
+        alpha = self.gate.forward(self.lin2.forward(h, train), train)
+        return self._record(train, x * alpha[:, :, None], (x, alpha, gap_cache))
 
     def backward(self, g):
-        x, alpha, gap_cache = self._cache
+        x, alpha, gap_cache = self._caches.pop()
         gx = g * alpha[:, :, None]
         g_alpha = (g * x).sum(axis=2)
         g_z = self.lin1.backward(self.act.backward(
@@ -199,7 +201,7 @@ class Tce:
         return self.lin1.params() + self.lin2.params()
 
 
-class Amtpn:
+class Amtpn(Layer):
     """TPP -> AFF -> TCE pipeline; output shape equals input shape.
 
     `use_aff=False` freezes fusion at uniform weights 1/K; `use_tce=False`
@@ -208,6 +210,7 @@ class Amtpn:
 
     def __init__(self, cfg: PyramidConfig, rng, name="amtpn",
                  use_aff=True, use_tce=True):
+        super().__init__()
         self.cfg = cfg
         self.tpp = Tpp(cfg, rng, f"{name}.tpp")
         self.aff = Aff(cfg, rng, f"{name}.aff", adaptive=use_aff)
@@ -215,11 +218,9 @@ class Amtpn:
                     if use_tce else None)
         self.last_weights = None
 
-    def forward(self, x, train):
-        branches = self.tpp.forward(x, train)
-        fused, weights = self.aff.forward(branches)
-        self.last_weights = weights
-        return self.tce.forward(fused) if self.tce is not None else fused
+    def forward(self, x, train=False):
+        fused, self.last_weights = self.aff.forward(self.tpp.forward(x, train), train)
+        return self.tce.forward(fused, train) if self.tce is not None else fused
 
     def backward(self, g):
         if self.tce is not None:

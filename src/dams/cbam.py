@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernel
 from .amtpn import ConfigError
-from .layers import Conv1d, Linear, Relu, Sigmoid
+from .layers import Conv1d, Layer, Linear, Relu, Sigmoid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,10 +29,11 @@ class CbamConfig:
             raise ConfigError("reduction_ratio must be positive")
 
 
-class ChannelAttention:
+class ChannelAttention(Layer):
     """M_c = sigmoid(mlp(avg_pool_T(f)) + mlp(max_pool_T(f))), shape [B, C, 1]."""
 
     def __init__(self, channels, reduction_ratio, rng, name="ca"):
+        super().__init__()
         if channels % reduction_ratio:
             raise ConfigError(
                 f"channel attention: ratio {reduction_ratio} must divide C {channels}")
@@ -43,25 +44,23 @@ class ChannelAttention:
                            bias_init=0.0, weight_scale=0.1)
         self.act = Relu()
         self.gate = Sigmoid()
-        self._cache = None
 
-    def _mlp(self, z):
-        return self.lin2.forward(self.act.forward(self.lin1.forward(z)))
+    def _mlp(self, z, train=False):
+        h = self.act.forward(self.lin1.forward(z, train), train)
+        return self.lin2.forward(h, train)
 
     def _mlp_backward(self, g):
         return self.lin1.backward(self.act.backward(self.lin2.backward(g)))
 
-    def forward(self, f):
-        B, C, T = f.shape
+    def forward(self, f, train=False):
         z_avg = f.mean(axis=2)
         arg = f.argmax(axis=2)
         z_max = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
-        m = self.gate.forward(self._mlp(z_avg) + self._mlp(z_max))
-        self._cache = (f.shape, arg)
-        return m[:, :, None]
+        m = self.gate.forward(self._mlp(z_avg, train) + self._mlp(z_max, train), train)
+        return self._record(train, m[:, :, None], (f.shape, arg))
 
     def backward(self, g_m):
-        (B, C, T), arg = self._cache
+        (B, C, T), arg = self._caches.pop()
         g_logits = self.gate.backward(g_m[:, :, 0])
         # pop order mirrors forward: max branch was applied second
         g_zmax = self._mlp_backward(g_logits)
@@ -76,28 +75,26 @@ class ChannelAttention:
         return self.lin1.params() + self.lin2.params()
 
 
-class TemporalAttention:
+class TemporalAttention(Layer):
     """M_t = sigmoid(conv_k([mean_C(f); max_C(f)])), shape [B, 1, T]."""
 
     def __init__(self, kernel_size, rng, name="ta"):
+        super().__init__()
         # near-zero conv so the temporal gate starts ~0.5 at every frame
         self.conv = Conv1d(2, 1, kernel_size, kernel_size // 2, rng,
                            f"{name}.conv", bias_init=0.0, weight_scale=0.1)
         self.gate = Sigmoid()
-        self._cache = None
 
-    def forward(self, f):
-        B, C, T = f.shape
+    def forward(self, f, train=False):
         avg_map = f.mean(axis=1, keepdims=True)
         arg = f.argmax(axis=1)  # [B, T]
         max_map = np.take_along_axis(f, arg[:, None, :], axis=1)
         pooled = np.concatenate([avg_map, max_map], axis=1)  # [B, 2, T]
-        m = self.gate.forward(self.conv.forward(pooled))
-        self._cache = (f.shape, arg)
-        return m
+        m = self.gate.forward(self.conv.forward(pooled, train), train)
+        return self._record(train, m, (f.shape, arg))
 
     def backward(self, g_m):
-        (B, C, T), arg = self._cache
+        (B, C, T), arg = self._caches.pop()
         g_pooled = self.conv.backward(self.gate.backward(g_m))
         g_f = np.repeat(g_pooled[:, 0:1, :] / C, C, axis=1)
         g_max = g_pooled[:, 1, :]
@@ -110,7 +107,7 @@ class TemporalAttention:
         return self.conv.params()
 
 
-class Cbam:
+class Cbam(Layer):
     """Sequential gating: f' = M_c(f) * f, then f'' = M_t(f') * f'.
 
     `use_ca` / `use_sa` force the corresponding gate to 1 (stage skipped).
@@ -118,27 +115,26 @@ class Cbam:
 
     def __init__(self, channels, cfg: CbamConfig, rng, name="cbam",
                  use_ca=True, use_sa=True):
+        super().__init__()
         self.ca = (ChannelAttention(channels, cfg.reduction_ratio, rng, f"{name}.ca")
                    if use_ca else None)
         self.ta = (TemporalAttention(cfg.temporal_kernel, rng, f"{name}.ta")
                    if use_sa else None)
-        self._cache = None
 
-    def forward(self, f):
+    def forward(self, f, train=False):
         mc = mt = None
         f1 = f
         if self.ca is not None:
-            mc = self.ca.forward(f)
+            mc = self.ca.forward(f, train)
             f1 = f * mc
         f2 = f1
         if self.ta is not None:
-            mt = self.ta.forward(f1)
+            mt = self.ta.forward(f1, train)
             f2 = f1 * mt
-        self._cache = (f, f1, mc, mt)
-        return f2
+        return self._record(train, f2, (f, f1, mc, mt))
 
     def backward(self, g):
-        f, f1, mc, mt = self._cache
+        f, f1, mc, mt = self._caches.pop()
         if self.ta is not None:
             g_mt = (g * f1).sum(axis=1, keepdims=True)
             g = g * mt + self.ta.backward(g_mt)

@@ -141,35 +141,17 @@ def check_batch_norm1d(seed, **kw):
     return grad_check(fn, [x, gamma, beta], **kw)
 
 
-def _module_check(build, shape, seed, train=True, **kw):
+def _module_check(build, shape, seed, **kw):
     rng = np.random.default_rng(seed)
     module = build(rng)
     x = _p(rng, shape, "x")
-    out_shape = _module_out_shape(module, x.value, train)
-    r = _projection_loss(rng, out_shape)
+    r = _projection_loss(rng, module.forward(x.value).shape)
 
     def fn():
-        out = _module_forward(module, x.value, train)
-        x.grad += _module_backward(module, r)
+        out = module.forward(x.value, train=True)
+        x.grad += module.backward(r)
         return (out * r).sum()
     return grad_check(fn, module.params() + [x], **kw)
-
-
-def _module_forward(module, x, train):
-    if isinstance(module, (Amtpn, Backbone)):
-        return module.forward(x, train)
-    return module.forward(x)
-
-
-def _module_backward(module, g):
-    return module.backward(g)
-
-
-def _module_out_shape(module, x, train):
-    out = _module_forward(module, x, train)
-    _module_backward(module, np.zeros_like(out) if out.ndim == 3
-                     else np.zeros(out.shape))
-    return out.shape
 
 
 def check_tpp(seed, **kw):
@@ -192,7 +174,7 @@ def check_aff(seed, **kw):
     r = _projection_loss(rng, (1, 8, 12))
 
     def fn():
-        fused, _ = aff.forward([p.value for p in xs])
+        fused, _ = aff.forward([p.value for p in xs], train=True)
         for p, g in zip(xs, aff.backward(r)):
             p.grad += g
         return (fused * r).sum()
@@ -214,16 +196,7 @@ def check_backbone(seed, **kw):
 
 
 def check_head(seed, **kw):
-    rng = np.random.default_rng(seed)
-    head = Head(8, 4, rng)
-    x = _p(rng, (2, 8, 12), "x")
-    r = _projection_loss(rng, (2, 12))
-
-    def fn():
-        out = head.forward(x.value)
-        x.grad += head.backward(r)
-        return (out * r).sum()
-    return grad_check(fn, head.params() + [x], **kw)
+    return _module_check(lambda rng: Head(8, 4, rng), (2, 8, 12), seed, **kw)
 
 
 def check_amtpn(seed, **kw):

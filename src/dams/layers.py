@@ -1,9 +1,13 @@
-"""Thin stateful wrappers over the kernel ops.
+"""Thin stateful wrappers over the kernel ops, and the base of every module.
 
-Each layer owns its Parameters and a cache stack so the same layer instance
-can be applied several times per forward pass (e.g. a descriptor MLP shared
-across pyramid branches). Backward calls must mirror forward calls in exact
-reverse order; `backward` pops the most recent cache.
+Every layer and composite module follows one protocol: `forward(x,
+train=False)` returns the output and passes `train` down to its children;
+`backward(g)` returns the input gradient and accumulates parameter
+gradients. A forward records its backward cache on the instance's stack only
+when `train` is true, so inference leaves no state behind. The stack lets
+one instance be applied several times per forward pass (e.g. a descriptor
+MLP shared across pyramid branches). Backward calls must mirror training
+forward calls in exact reverse order; `backward` pops the most recent cache.
 """
 
 from __future__ import annotations
@@ -22,17 +26,23 @@ def uniform_init(rng, shape, fan_in):
 
 
 class Layer:
+    def __init__(self):
+        self._caches = []
+
+    def _record(self, train, out, cache):
+        """Return `out`; keep `cache` for `backward` only when training."""
+        if train:
+            self._caches.append(cache)
+        return out
+
     def params(self):
         return []
-
-    def zero_grads(self):
-        for p in self.params():
-            p.zero_grad()
 
 
 class Conv1d(Layer):
     def __init__(self, cin, cout, kernel_size, padding, rng, name,
                  bias_init=None, weight_scale=1.0):
+        super().__init__()
         fan_in = cin * kernel_size
         self.w = Parameter(
             weight_scale * uniform_init(rng, (cout, cin, kernel_size), fan_in),
@@ -43,12 +53,10 @@ class Conv1d(Layer):
             b = np.full(cout, float(bias_init))
         self.b = Parameter(b, f"{name}.b")
         self.padding = padding
-        self._caches = []
 
-    def forward(self, x):
-        out, cache = kernel.conv1d(x, self.w.value, self.b.value, self.padding)
-        self._caches.append(cache)
-        return out
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.conv1d(x, self.w.value, self.b.value,
+                                                  self.padding))
 
     def backward(self, g):
         dx, dw, db = kernel.conv1d_backward(g, self._caches.pop())
@@ -62,6 +70,7 @@ class Conv1d(Layer):
 
 class Linear(Layer):
     def __init__(self, din, dout, rng, name, bias_init=None, weight_scale=1.0):
+        super().__init__()
         # bias_init: optional constant bias. Gating MLPs that only ever see
         # nonnegative pooled descriptors use a positive constant so no hidden
         # unit starts permanently dead behind its relu. weight_scale < 1 lets
@@ -73,12 +82,9 @@ class Linear(Layer):
         else:
             b = np.full(dout, float(bias_init))
         self.b = Parameter(b, f"{name}.b")
-        self._caches = []
 
-    def forward(self, x):
-        out, cache = kernel.linear(x, self.w.value, self.b.value)
-        self._caches.append(cache)
-        return out
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.linear(x, self.w.value, self.b.value))
 
     def backward(self, g):
         dx, dw, db = kernel.linear_backward(g, self._caches.pop())
@@ -92,17 +98,15 @@ class Linear(Layer):
 
 class BatchNorm1d(Layer):
     def __init__(self, channels, name, momentum=0.9, eps=1e-5):
+        super().__init__()
         self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels), f"{name}.beta")
         self.state = BatchNormState.create(channels, momentum, eps)
         self.name = name
-        self._caches = []
 
-    def forward(self, x, train):
-        out, cache = kernel.batch_norm1d(x, self.gamma.value, self.beta.value,
-                                         self.state, train)
-        self._caches.append(cache)
-        return out
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.batch_norm1d(
+            x, self.gamma.value, self.beta.value, self.state, train))
 
     def backward(self, g):
         dx, dgamma, dbeta = kernel.batch_norm1d_backward(g, self._caches.pop())
@@ -119,26 +123,16 @@ class BatchNorm1d(Layer):
 
 
 class Relu(Layer):
-    def __init__(self):
-        self._caches = []
-
-    def forward(self, x):
-        out, cache = kernel.relu(x)
-        self._caches.append(cache)
-        return out
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.relu(x))
 
     def backward(self, g):
         return kernel.relu_backward(g, self._caches.pop())
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        self._caches = []
-
-    def forward(self, x):
-        out, cache = kernel.sigmoid(x)
-        self._caches.append(cache)
-        return out
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.sigmoid(x))
 
     def backward(self, g):
         return kernel.sigmoid_backward(g, self._caches.pop())

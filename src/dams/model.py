@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel
 from .amtpn import Amtpn, ConfigError, PyramidConfig
 from .cbam import Cbam, CbamConfig
-from .layers import BatchNorm1d, Conv1d, Relu
+from .layers import BatchNorm1d, Conv1d, Layer, Relu
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -85,10 +85,11 @@ class ForwardOutput:
     aff_weights: np.ndarray = None  # [B, K] when the pyramid is active
 
 
-class Backbone:
+class Backbone(Layer):
     """1x1 projection then `depth` residual blocks of conv(k=3) -> BN -> ReLU."""
 
     def __init__(self, input_dim, channels, depth, rng, name="backbone"):
+        super().__init__()
         self.proj = Conv1d(input_dim, channels, 1, 0, rng, f"{name}.proj")
         self.blocks = []
         for i in range(depth):
@@ -96,10 +97,10 @@ class Backbone:
             bn = BatchNorm1d(channels, f"{name}.block{i}.bn")
             self.blocks.append((conv, bn, Relu()))
 
-    def forward(self, x, train):
-        h = self.proj.forward(x)
+    def forward(self, x, train=False):
+        h = self.proj.forward(x, train)
         for conv, bn, act in self.blocks:
-            h = h + act.forward(bn.forward(conv.forward(h), train))
+            h = h + act.forward(bn.forward(conv.forward(h, train), train), train)
         return h
 
     def backward(self, g):
@@ -120,16 +121,18 @@ class Backbone:
         return out
 
 
-class Head:
+class Head(Layer):
     """Per-frame classifier: conv1x1 C->H, ReLU, conv1x1 H->1."""
 
     def __init__(self, channels, hidden, rng, name="head"):
+        super().__init__()
         self.conv1 = Conv1d(channels, hidden, 1, 0, rng, f"{name}.conv1")
         self.conv2 = Conv1d(hidden, 1, 1, 0, rng, f"{name}.conv2")
         self.act = Relu()
 
-    def forward(self, x):
-        return self.conv2.forward(self.act.forward(self.conv1.forward(x)))[:, 0, :]
+    def forward(self, x, train=False):
+        h = self.act.forward(self.conv1.forward(x, train), train)
+        return self.conv2.forward(h, train)[:, 0, :]
 
     def backward(self, g_logits):
         g = self.conv2.backward(g_logits[:, None, :])
@@ -139,10 +142,11 @@ class Head:
         return self.conv1.params() + self.conv2.params()
 
 
-class DamsModel:
+class DamsModel(Layer):
     """backbone -> pyramid -> attention -> head, with manual backward."""
 
     def __init__(self, cfg: ModelConfig, rng):
+        super().__init__()
         self.cfg = cfg
         self.backbone = Backbone(cfg.input_dim, cfg.channels, cfg.depth, rng)
         self.amtpn = (Amtpn(cfg.pyramid, rng, use_aff=cfg.use_aff, use_tce=cfg.use_tce)
@@ -151,35 +155,34 @@ class DamsModel:
                           use_ca=cfg.use_ca, use_sa=cfg.use_sa)
                      if cfg.use_cbam else None)
         self.head = Head(cfg.channels, cfg.head_hidden, rng)
-        self._drop_mask = None
-        self._score_cache = None
 
     def forward(self, x, train=False, dropout_rng=None) -> ForwardOutput:
+        p = self.cfg.dropout if train else 0.0
+        if p > 0.0 and dropout_rng is None:
+            raise ValueError("dropout requires an rng in train mode")
         h = self.backbone.forward(x, train)
         weights = None
         if self.amtpn is not None:
             h = self.amtpn.forward(h, train)
             weights = self.amtpn.last_weights
         if self.cbam is not None:
-            h = self.cbam.forward(h)
+            h = self.cbam.forward(h, train)
         embeddings = h
-        p = self.cfg.dropout
-        if train and p > 0.0:
-            if dropout_rng is None:
-                raise ValueError("dropout requires an rng in train mode")
-            self._drop_mask = (dropout_rng.random(h.shape) >= p) / (1.0 - p)
-            h = h * self._drop_mask
-        else:
-            self._drop_mask = None
-        logits = self.head.forward(h)
-        scores, self._score_cache = kernel.sigmoid(logits)
+        drop_mask = None
+        if p > 0.0:
+            drop_mask = (dropout_rng.random(h.shape) >= p) / (1.0 - p)
+            h = h * drop_mask
+        h = self._record(train, h, drop_mask)
+        logits = self.head.forward(h, train)
+        scores, _ = kernel.sigmoid(logits)
         return ForwardOutput(logits, scores, embeddings, weights)
 
     def backward(self, g_logits, g_embeddings=None):
         """Propagate loss gradients; returns the gradient w.r.t. the input."""
         g = self.head.backward(g_logits)
-        if self._drop_mask is not None:
-            g = g * self._drop_mask
+        drop_mask = self._caches.pop()
+        if drop_mask is not None:
+            g = g * drop_mask
         if g_embeddings is not None:
             g = g + g_embeddings
         if self.cbam is not None:
@@ -196,10 +199,6 @@ class DamsModel:
             out += self.cbam.params()
         out += self.head.params()
         return out
-
-    def zero_grads(self):
-        for p in self.params():
-            p.zero_grad()
 
     def state_arrays(self):
         """All persistent arrays: parameters plus BN running statistics."""

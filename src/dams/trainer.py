@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from . import losses as L
 from .amtpn import ConfigError, PyramidConfig
 from .cbam import CbamConfig
@@ -428,8 +429,7 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     history = []
     for it in range(start_iter, cfg.max_iterations):
         batch = batch_at(it)
-        for p in params:
-            p.zero_grad()
+        kernel.zero_grads(params)
         try:
             breakdown = train_step(model, weights, batch, cfg, it)
         except L.EmptyLossError as exc:

@@ -297,6 +297,49 @@ class TestEvaluate:
         assert set(d) == {"auc", "ap", "per_video"}
 
 
+MODULE_CLASSES = {"Conv1d", "Linear", "BatchNorm1d", "Relu", "Sigmoid",
+                  "TppBranch", "Tpp", "Aff", "Tce", "ChannelAttention",
+                  "TemporalAttention", "Cbam", "Amtpn", "Backbone", "Head",
+                  "DamsModel"}
+
+
+def _cache_entries(model):
+    """{class name: entries on its cache stacks} over every dams object
+    reachable from `model` through attributes, lists and tuples."""
+    entries, seen, todo = {}, set(), [model]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif type(obj).__module__.startswith("dams.") and id(obj) not in seen:
+            seen.add(id(obj))
+            fields = dict(vars(obj))
+            if "_caches" in fields:
+                name = type(obj).__name__
+                entries[name] = entries.get(name, 0) + len(fields.pop("_caches"))
+            todo.extend(fields.values())
+    return entries
+
+
+class TestCacheStacks:
+    def test_evaluate_leaves_no_cache(self):
+        records = synthesize_dataset(SyntheticSpec(num_videos=6, t_min=6,
+                                                   t_max=10, input_dim=6,
+                                                   num_crops=10))
+        model, _ = build_model(small_config())
+        evaluate(model, records)
+        assert _cache_entries(model) == dict.fromkeys(MODULE_CLASSES, 0)
+
+    def test_train_with_validation_leaves_no_cache(self):
+        val = synthesize_dataset(SyntheticSpec(num_videos=4, t_min=6, t_max=10,
+                                               input_dim=6, num_crops=10,
+                                               seed=1))
+        result = train(small_config(max_iterations=5, validate_every=2),
+                       small_records(), val)
+        assert any("val_auc" in h for h in result.history[:-1])
+        assert _cache_entries(result.model) == dict.fromkeys(MODULE_CLASSES, 0)
+
+
 class TestAblationPlumbing:
     def test_variant_table_covers_switches(self):
         assert set(ABLATION_VARIANTS) == {
