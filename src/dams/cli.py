@@ -4,7 +4,7 @@ Exit codes (machine-readable error categories):
     0  success
     2  configuration error (bad config file, bad flag combination)
     3  missing input path
-    4  file-format error (feature files, checkpoints)
+    4  file-format error (feature files, checkpoints, manifests)
     5  numeric failure (non-finite loss, failed gradient check, undefined metric)
 """
 
@@ -24,16 +24,15 @@ import numpy as np
 from . import __version__
 from .amtpn import ConfigError
 from .checks import run_suite
-from .data import (FEATURE_VERSION, FeatureFileError, SyntheticSpec,
+from .data import (FORMAT_VERSION, FeatureFileError, SyntheticSpec,
                    load_dataset, save_dataset, synthesize_dataset)
 from .kernel import GradCheckAborted
 from .losses import NonFiniteLossError
 from .metrics import UndefinedMetricError
 from .model import ModelConfig
 from .plotting import render_score_svg
-from .trainer import (CHECKPOINT_VERSION, TrainConfig, config_from_dict,
-                      config_to_dict, evaluate, load_model_for_inference,
-                      score_video, train)
+from .trainer import (TrainConfig, config_from_dict, config_to_dict, evaluate,
+                      load_model_for_inference, score_video, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,8 +203,8 @@ def cmd_info(args):
     else:
         cfg = TrainConfig(model=ModelConfig(input_dim=64))
     info = {"version": __version__,
-            "feature_file_version": FEATURE_VERSION,
-            "checkpoint_version": CHECKPOINT_VERSION,
+            "feature_file_version": FORMAT_VERSION,
+            "checkpoint_version": FORMAT_VERSION,
             "config": config_to_dict(cfg)}
     print(json.dumps(info, sort_keys=True, indent=2))
     return EXIT_OK

@@ -1,10 +1,15 @@
 """Feature-file I/O, dataset descriptors, batching, and the synthetic
 planted-anomaly benchmark.
 
-Feature files are a small self-describing binary format:
+Feature files ("DAMSFEAT", one array of rank 1..3) and checkpoints
+("DAMSCKPT") share one binary container:
 
-    magic "DAMSFEAT" | version u16 LE | rank u8 | extents u32 LE each
-    | payload float64 LE row-major | crc32(payload) u32 LE
+    magic 8 bytes | version u16 LE | body length u64 LE | body = JSON line
+    {"arrays": [[name, shape], ...], "meta": {...}} + float64 LE payload,
+    row-major in header order | crc32 of every byte before it, u32 LE
+
+The reader checks the length, magic, version, body length against the file
+size and checksum, in that order, and parses the header only after that.
 
 Datasets on disk are a directory of feature files plus `manifest.jsonl`,
 one JSON object per video with relative feature paths, a "normal" /
@@ -24,16 +29,21 @@ import numpy as np
 
 from .amtpn import ConfigError
 
+FORMAT_VERSION = 2
 FEATURE_MAGIC = b"DAMSFEAT"
-FEATURE_VERSION = 1
+FEATURE_ARRAY = "features"
 MANIFEST_NAME = "manifest.jsonl"
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
 
+_PREFIX = struct.Struct("<8sHQ")   # magic, version, body length
+_CRC = struct.Struct("<I")
+
 
 class FeatureFileError(ValueError):
-    """Base class for feature-file format violations."""
+    """Base class for format violations in feature files, checkpoints and
+    manifests."""
     code = "format"
 
 
@@ -53,50 +63,80 @@ class TruncatedFileError(FeatureFileError):
     code = "truncated"
 
 
-def write_feature_file(path, tensor):
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.ndim < 1 or tensor.ndim > 3:
-        raise FeatureFileError(f"rank must be 1..3, got {tensor.ndim}")
-    if any(e < 1 for e in tensor.shape):
-        raise FeatureFileError(f"empty extent in shape {tensor.shape}")
-    payload = np.ascontiguousarray(tensor).astype("<f8").tobytes()
+def write_container(path, magic, meta, arrays):
+    """Write the name -> float64 array map `arrays` and the JSON object
+    `meta` as one file; byte-deterministic for fixed content."""
+    names = sorted(arrays)
+    header = {"arrays": [[n, list(np.shape(arrays[n]))] for n in names], "meta": meta}
+    body = b"".join([json.dumps(header, sort_keys=True).encode(), b"\n"] + [
+        np.ascontiguousarray(arrays[n], dtype="<f8").tobytes() for n in names])
+    blob = _PREFIX.pack(magic, FORMAT_VERSION, len(body)) + body
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<H", FEATURE_VERSION))
-        fh.write(struct.pack("<B", tensor.ndim))
-        for e in tensor.shape:
-            fh.write(struct.pack("<I", e))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.write(blob)
+        fh.write(_CRC.pack(zlib.crc32(blob)))
+
+
+def read_container(path, magic):
+    """Read a file written by `write_container` as (arrays, meta). Every
+    malformed file raises a `FeatureFileError` subclass."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _PREFIX.size + _CRC.size:
+        raise TruncatedFileError(f"{path}: too short for a header")
+    found, version, body_len = _PREFIX.unpack_from(blob)
+    if found != magic:
+        raise BadMagicError(f"{path}: bad magic {found!r}")
+    if version != FORMAT_VERSION:
+        raise BadVersionError(f"{path}: unsupported version {version}")
+    end = _PREFIX.size + body_len
+    if len(blob) != end + _CRC.size:
+        raise TruncatedFileError(f"{path}: {len(blob)} bytes, expected {end + _CRC.size}")
+    if zlib.crc32(memoryview(blob)[:end]) != _CRC.unpack_from(blob, end)[0]:
+        raise ChecksumError(f"{path}: checksum mismatch")
+    # past the checksum, only a writer that broke the layout leaves a bad header
+    off = blob.find(b"\n", _PREFIX.size, end) + 1
+    try:
+        header = json.loads(blob[_PREFIX.size:off]) if off else None
+    except ValueError as exc:
+        raise FeatureFileError(f"{path}: header is not JSON: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)
+            and all(isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                    and isinstance(e[1], list)
+                    and all(type(n) is int and n >= 0 for n in e[1])
+                    for e in header["arrays"])):
+        raise FeatureFileError(f"{path}: malformed header")
+    counts = [math.prod(shape) for _, shape in header["arrays"]]
+    if (off + 8 * sum(counts) != end
+            or len({name for name, _ in header["arrays"]}) != len(counts)):
+        raise FeatureFileError(f"{path}: header disagrees with the payload")
+    arrays = {}
+    for (name, shape), n in zip(header["arrays"], counts):
+        arrays[name] = np.frombuffer(blob, "<f8", n, off).astype(float).reshape(shape)
+        off += 8 * n
+    return arrays, header["meta"]
+
+
+def _checked_feature(arrays, path):
+    """The one array of a feature file: rank 1..3, no empty extent."""
+    tensor = arrays.get(FEATURE_ARRAY)
+    if tensor is None or len(arrays) != 1:
+        raise FeatureFileError(f"{path}: expected the one array {FEATURE_ARRAY!r}")
+    if not 1 <= tensor.ndim <= 3 or min(tensor.shape) < 1:
+        raise FeatureFileError(f"{path}: shape {tensor.shape} needs rank 1..3 "
+                               "and no empty extent")
+    return tensor
+
+
+def write_feature_file(path, tensor):
+    arrays = {FEATURE_ARRAY: np.asarray(tensor, dtype=np.float64)}
+    _checked_feature(arrays, path)
+    write_container(path, FEATURE_MAGIC, {}, arrays)
 
 
 def read_feature_file(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(FEATURE_MAGIC) + 3:
-        raise TruncatedFileError(f"{path}: too short for a header")
-    if blob[:8] != FEATURE_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:8]!r}")
-    (version,) = struct.unpack_from("<H", blob, 8)
-    if version != FEATURE_VERSION:
-        raise BadVersionError(f"{path}: unsupported version {version}")
-    rank = blob[10]
-    if rank < 1 or rank > 3:
-        raise FeatureFileError(f"{path}: bad rank {rank}")
-    off = 11
-    if len(blob) < off + 4 * rank:
-        raise TruncatedFileError(f"{path}: truncated extents")
-    shape = struct.unpack_from(f"<{rank}I", blob, off)
-    off += 4 * rank
-    count = int(np.prod(shape))
-    need = off + 8 * count + 4
-    if len(blob) != need:
-        raise TruncatedFileError(f"{path}: expected {need} bytes, got {len(blob)}")
-    payload = blob[off:off + 8 * count]
-    (crc,) = struct.unpack_from("<I", blob, off + 8 * count)
-    if zlib.crc32(payload) != crc:
-        raise ChecksumError(f"{path}: payload checksum mismatch")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    arrays, _ = read_container(path, FEATURE_MAGIC)
+    return _checked_feature(arrays, path)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +203,21 @@ def load_dataset(in_dir):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {in_dir}")
     records = []
     with open(manifest, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FeatureFileError(f"{manifest}:{lineno}: not JSON: {exc}") from exc
+            if not (isinstance(row, dict) and isinstance(row.get("id"), str)
+                    and isinstance(row.get("label"), str)
+                    and isinstance(row.get("feature_files"), list)
+                    and all(isinstance(f, str) for f in row["feature_files"])):
+                raise FeatureFileError(
+                    f"{manifest}:{lineno}: a row must be an object with string 'id' "
+                    "and 'label' and a list of strings 'feature_files'")
             crops = [read_feature_file(in_dir / rel) for rel in row["feature_files"]]
             records.append(VideoRecord(
                 id=row["id"], crops=crops, label=row["label"],

@@ -13,8 +13,6 @@ import hashlib
 import json
 import logging
 import math
-import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +21,8 @@ from . import kernel
 from . import losses as L
 from .amtpn import ConfigError, PyramidConfig
 from .cbam import CbamConfig
-from .data import Batch, batch_iter, tencrop_aggregate
+from .data import (Batch, batch_iter, read_container, tencrop_aggregate,
+                   write_container)
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
 from .metrics import average_precision, roc_auc
 from .model import DamsModel, ModelConfig
@@ -31,7 +30,6 @@ from .model import DamsModel, ModelConfig
 log = logging.getLogger("dams")
 
 CHECKPOINT_MAGIC = b"DAMSCKPT"
-CHECKPOINT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +158,6 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def state_arrays(self):
-        out = {f"adam.m/{k}": v for k, v in self.m.items()}
-        out.update({f"adam.v/{k}": v for k, v in self.v.items()})
-        return out
-
 
 # ---------------------------------------------------------------------------
 # checkpoint format
@@ -172,48 +165,11 @@ class Adam:
 
 def save_checkpoint(path, arrays, meta):
     """Single-file binary checkpoint; byte-deterministic for fixed content."""
-    names = sorted(arrays)
-    manifest = [[n, list(arrays[n].shape)] for n in names]
-    header = json.dumps({"meta": meta, "arrays": manifest},
-                        sort_keys=True).encode()
-    payload = b"".join(
-        np.ascontiguousarray(arrays[n], dtype=np.float64).astype("<f8").tobytes()
-        for n in names)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    write_container(path, CHECKPOINT_MAGIC, meta, arrays)
 
 
 def load_checkpoint(path):
-    from .data import BadMagicError, BadVersionError, ChecksumError, TruncatedFileError
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 18:
-        raise TruncatedFileError(f"{path}: too short")
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic")
-    (version,) = struct.unpack_from("<H", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise BadVersionError(f"{path}: unsupported version {version}")
-    (hlen,) = struct.unpack_from("<Q", blob, 10)
-    header = json.loads(blob[18:18 + hlen])
-    off = 18 + hlen
-    arrays = {}
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(
-            blob[off:off + 8 * count], dtype="<f8").astype(np.float64).reshape(shape)
-        off += 8 * count
-    if len(blob) != off + 4:
-        raise TruncatedFileError(f"{path}: bad payload length")
-    (crc,) = struct.unpack_from("<I", blob, off)
-    if zlib.crc32(blob[18 + hlen:off]) != crc:
-        raise ChecksumError(f"{path}: payload checksum mismatch")
-    return arrays, header["meta"]
+    return read_container(path, CHECKPOINT_MAGIC)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +183,20 @@ def build_model(cfg: TrainConfig):
     return model, weights
 
 
-def _all_state(model, weights, opt):
+def _all_state(model, weights, opt=None):
+    """Name -> live array of everything a checkpoint holds: the model state,
+    `uncertainty.rho` and, given `opt`, the Adam moments."""
     out = dict(model.state_arrays())
     out["uncertainty.rho"] = weights.rho.value
-    out.update(opt.state_arrays())
+    if opt is not None:
+        out.update({f"adam.m/{k}": v for k, v in opt.m.items()})
+        out.update({f"adam.v/{k}": v for k, v in opt.v.items()})
     return out
 
 
-def _restore_state(arrays, model, weights, opt, prefix=""):
-    targets = dict(model.state_arrays())
-    targets["uncertainty.rho"] = weights.rho.value
-    if opt is not None:
-        targets.update(opt.state_arrays())
-    for name, dst in targets.items():
+def _restore_state(arrays, state, prefix=""):
+    """Copy `arrays[prefix + name]` into each array of the `state` map."""
+    for name, dst in state.items():
         src = arrays.get(prefix + name)
         if src is None:
             raise ConfigError(f"checkpoint is missing array {prefix + name!r}")
@@ -391,6 +348,9 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
                cfg.adam_eps, cfg.weight_decay)
     cfg_hash = config_hash(cfg)
 
+    def snapshot_state():
+        return {k: v.copy() for k, v in _all_state(model, weights).items()}
+
     start_iter = 0
     best_auc = -math.inf
     best_iteration = -1
@@ -399,16 +359,14 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
         arrays, meta = load_checkpoint(resume)
         if meta.get("config_hash") != cfg_hash:
             raise ConfigError("checkpoint config hash does not match the run config")
-        _restore_state(arrays, model, weights, opt)
+        _restore_state(arrays, _all_state(model, weights, opt))
         opt.t = int(meta["adam_t"])
         start_iter = int(meta["iteration"])
         best_auc = float(meta["best_auc"])
         best_iteration = int(meta["best_iteration"])
         if best_iteration >= 0:
-            model_state = dict(model.state_arrays())
-            model_state["uncertainty.rho"] = weights.rho.value
-            best_state = {k: arrays[f"best/{k}"].reshape(v.shape).copy()
-                          for k, v in model_state.items()}
+            best_state = snapshot_state()
+            _restore_state(arrays, best_state, "best/")
 
     batches_per_epoch = max(1, math.ceil(len(train_records) / cfg.batch_size))
     epoch_cache = {}
@@ -420,11 +378,6 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
             epoch_cache[epoch] = list(batch_iter(
                 train_records, cfg.batch_size, cfg.seed, "train", epoch))
         return epoch_cache[epoch][it % batches_per_epoch]
-
-    def snapshot_state():
-        state = {k: v.copy() for k, v in model.state_arrays().items()}
-        state["uncertainty.rho"] = weights.rho.value.copy()
-        return state
 
     history = []
     for it in range(start_iter, cfg.max_iterations):
@@ -471,11 +424,8 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
         arrays.update({f"best/{k}": v for k, v in best_state.items()})
         final_path = out_dir / "checkpoint_final.ckpt"
         save_checkpoint(final_path, arrays, meta)
-        best_arrays = dict(best_state)
-        best_meta = dict(meta)
-        best_meta["iteration"] = best_iteration
         best_path = out_dir / "checkpoint_best.ckpt"
-        save_checkpoint(best_path, best_arrays, best_meta)
+        save_checkpoint(best_path, best_state, dict(meta, iteration=best_iteration))
         with open(out_dir / "log.jsonl", "w", encoding="utf-8") as fh:
             for entry in history:
                 fh.write(_log_line(entry) + "\n")
@@ -490,7 +440,7 @@ def load_model_for_inference(path):
     cfg = config_from_dict(meta["config"])
     model, weights = build_model(cfg)
     prefix = "" if "uncertainty.rho" in arrays else "best/"
-    _restore_state(arrays, model, weights, None, prefix)
+    _restore_state(arrays, _all_state(model, weights), prefix)
     return model, cfg, meta
 
 

@@ -142,14 +142,23 @@ class TestEvalScorePlot:
                      "--out", str(score_csv)]) == EXIT_OK
         assert eval_csv.read_bytes() == score_csv.read_bytes()
 
-    def test_corrupted_checkpoint_exit_code(self, tmp_path, dataset, trained):
+    @pytest.mark.parametrize("offset", [-10, 30])  # payload, JSON header
+    def test_corrupted_checkpoint_exit_code(self, tmp_path, dataset, trained,
+                                            offset):
         ckpt = trained / "checkpoint_final.ckpt"
         blob = bytearray(ckpt.read_bytes())
-        blob[-10] ^= 0x01
+        blob[offset] ^= 0x01
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
         code = main(["eval", "--dataset", str(dataset),
                      "--checkpoint", str(bad)])
+        assert code == EXIT_FORMAT
+
+    def test_malformed_manifest_exit_code(self, tmp_path, dataset, trained):
+        manifest = dataset / "manifest.jsonl"
+        manifest.write_text(manifest.read_text() + '{"id": "ghost"}\n')
+        code = main(["eval", "--dataset", str(dataset),
+                     "--checkpoint", str(trained / "checkpoint_final.ckpt")])
         assert code == EXIT_FORMAT
 
     def test_plot_valid_svg(self, tmp_path, dataset, trained):

@@ -1,5 +1,10 @@
 """Feature files, manifests, the synthetic benchmark, and batching."""
 
+import json
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,8 @@ from dams.data import (BadMagicError, BadVersionError, ChecksumError,
                        synthesize_dataset, tencrop_aggregate,
                        write_feature_file)
 from dams.metrics import roc_auc
+from dams.data import FORMAT_VERSION, read_container, write_container
+from dams.trainer import load_checkpoint, save_checkpoint
 
 
 def rng(seed=0):
@@ -267,3 +274,147 @@ class TestTencrop:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             tencrop_aggregate([])
+
+
+def _container_bytes(magic, version, body):
+    """A container with a valid checksum around an arbitrary body."""
+    blob = magic + struct.pack("<HQ", version, len(body)) + body
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def _small_checkpoint(path):
+    r = rng(5)
+    save_checkpoint(path, {"w": r.standard_normal((2, 3)), "b": r.standard_normal(2)},
+                    {"iteration": 7, "config_hash": "ab12"})
+
+
+class TestContainer:
+    def test_round_trip_names_shapes_meta(self, tmp_path):
+        arrays = {"b": rng(0).standard_normal((2, 3)), "a": np.float64(1.5),
+                  "z": np.zeros((0, 4))}
+        write_container(tmp_path / "x", b"TESTMAGC", {"k": [1, "v"]}, arrays)
+        loaded, meta = read_container(tmp_path / "x", b"TESTMAGC")
+        assert meta == {"k": [1, "v"]} and list(loaded) == ["a", "b", "z"]
+        for name, value in arrays.items():
+            assert loaded[name].shape == np.shape(value)
+            assert np.array_equal(loaded[name], value)
+
+    def test_wrong_magic_for_the_kind(self, tmp_path):
+        write_feature_file(tmp_path / "f.feat", np.ones(3))
+        with pytest.raises(BadMagicError):
+            load_checkpoint(tmp_path / "f.feat")
+
+    def test_version_1_files_rejected(self, tmp_path):
+        # the v1 layouts: a feature file with rank and extents in the
+        # prefix, a checkpoint with a header length and a payload-only CRC
+        payload = np.ones(3).astype("<f8").tobytes()
+        feat = (b"DAMSFEAT" + struct.pack("<HBI", 1, 1, 3) + payload
+                + struct.pack("<I", zlib.crc32(payload)))
+        header = b'{"arrays": [["a", [3]]], "meta": {}}'
+        ckpt = (b"DAMSCKPT" + struct.pack("<HQ", 1, len(header)) + header
+                + payload + struct.pack("<I", zlib.crc32(payload)))
+        (tmp_path / "v1.feat").write_bytes(feat)
+        (tmp_path / "v1.ckpt").write_bytes(ckpt)
+        with pytest.raises(BadVersionError):
+            read_feature_file(tmp_path / "v1.feat")
+        with pytest.raises(BadVersionError):
+            load_checkpoint(tmp_path / "v1.ckpt")
+
+    @pytest.mark.parametrize("body", [
+        b'{"arrays": [], "meta": {}}',                    # no header newline
+        b'{"arrays": [], "meta": \xff}\n',                # not UTF-8
+        b'{"arrays": [], \n',                             # not JSON
+        b'[]\n',                                          # not an object
+        b'{"arrays": []}\n',                              # no meta
+        b'{"arrays": [], "meta": 3}\n',                   # meta not an object
+        b'{"arrays": {}, "meta": {}}\n',                  # arrays not a list
+        b'{"arrays": [["a"]], "meta": {}}\n',             # entry not a pair
+        b'{"arrays": [[1, [1]]], "meta": {}}\n',          # name not a string
+        b'{"arrays": [["a", 1]], "meta": {}}\n',          # shape not a list
+        b'{"arrays": [["a", [-1]]], "meta": {}}\n',       # negative extent
+        b'{"arrays": [["a", [1.0]]], "meta": {}}\n',      # float extent
+        b'{"arrays": [["a", [true]]], "meta": {}}\n',     # bool extent
+        b'{"arrays": [["a", [2]]], "meta": {}}\n' + bytes(8),   # short payload
+        b'{"arrays": [["a", [1]]], "meta": {}}\n' + bytes(16),  # long payload
+        b'{"arrays": [["a", [1]], ["a", [1]]], "meta": {}}\n' + bytes(16),
+    ])
+    def test_bad_header_under_valid_checksum(self, tmp_path, body):
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(_container_bytes(b"DAMSCKPT", FORMAT_VERSION, body))
+        with pytest.raises(FeatureFileError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("arrays", [
+        {"features": np.ones((1, 1, 1, 1))}, {"features": np.ones((2, 0))},
+        {"features": np.float64(1.0)}, {"other": np.ones(3)},
+        {"features": np.ones(3), "extra": np.ones(3)}])
+    def test_feature_file_holds_one_array_of_rank_1_to_3(self, tmp_path, arrays):
+        path = tmp_path / "odd.feat"
+        write_container(path, b"DAMSFEAT", {}, arrays)
+        with pytest.raises(FeatureFileError):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("kind", ["feature", "checkpoint"])
+    def test_fuzz_flips_and_truncations_all_typed(self, tmp_path, kind):
+        # every single-bit flip and every truncation must be rejected with a
+        # FeatureFileError subclass: none accepted, none untyped
+        src = tmp_path / "src"
+        if kind == "feature":
+            write_feature_file(src, rng(4).standard_normal((3, 5)))
+            read = read_feature_file
+        else:
+            _small_checkpoint(src)
+            read = load_checkpoint
+        clean = src.read_bytes()
+        r = np.random.default_rng(2024)
+        path = tmp_path / "mutant"
+        accepted, untyped = [], []
+        for trial in range(2000):
+            blob = bytearray(clean)
+            if trial % 2:
+                blob = blob[:int(r.integers(0, len(clean)))]
+                what = f"truncated to {len(blob)}"
+            else:
+                bit = int(r.integers(0, 8 * len(clean)))
+                blob[bit // 8] ^= 1 << (bit % 8)
+                what = f"bit {bit} flipped"
+            path.write_bytes(bytes(blob))
+            try:
+                read(path)
+            except FeatureFileError:
+                continue
+            except Exception as exc:  # any other type is a failure, reported below
+                untyped.append(f"{what}: {type(exc).__name__}")
+                continue
+            accepted.append(what)
+        assert accepted == [] and untyped == [], (
+            f"{len(accepted)} accepted, {len(untyped)} untyped: "
+            f"{(accepted + untyped)[:5]}")
+
+
+class TestManifestRows:
+    # a valid row for the one video that save_dataset writes below
+    GOOD = {"id": "v1", "feature_files": ["video0000_crop0.feat"], "label": "normal"}
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({k: v for k, v in GOOD.items() if k != "id"}),
+        json.dumps(dict(GOOD, id=7)),
+        json.dumps({k: v for k, v in GOOD.items() if k != "feature_files"}),
+        json.dumps(dict(GOOD, feature_files="video0000_crop0.feat")),
+        json.dumps(dict(GOOD, feature_files=[0])),
+        json.dumps({k: v for k, v in GOOD.items() if k != "label"}),
+        json.dumps(dict(GOOD, label=1)),
+    ])
+    def test_bad_row_is_a_format_error_with_line(self, tmp_path, line):
+        save_dataset(synthesize_dataset(SyntheticSpec(num_videos=1, t_min=4,
+                                                      t_max=4, input_dim=2)),
+                     tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        rows = manifest.read_text() + json.dumps(self.GOOD) + "\n"
+        manifest.write_text(rows)
+        assert len(load_dataset(tmp_path)) == 2
+        manifest.write_text(rows + "\n" + line + "\n")
+        with pytest.raises(FeatureFileError, match=re.escape(f"{manifest}:4:")):
+            load_dataset(tmp_path)

@@ -273,6 +273,17 @@ class TestTraining:
         with pytest.raises(ConfigError, match=re.escape(repr(missing))):
             load_model_for_inference(tmp_path / "missing.ckpt")
 
+    def test_resume_missing_best_array_names_it(self, tmp_path):
+        records = small_records()
+        cfg = small_config()
+        train(cfg, records, out_dir=tmp_path)
+        arrays, meta = load_checkpoint(tmp_path / "checkpoint_final.ckpt")
+        missing = sorted(k for k in arrays if k.startswith("best/"))[0]
+        del arrays[missing]
+        save_checkpoint(tmp_path / "nobest.ckpt", arrays, meta)
+        with pytest.raises(ConfigError, match=re.escape(repr(missing))):
+            train(cfg, records, resume=tmp_path / "nobest.ckpt")
+
 
 class TestEvaluate:
     def test_score_video_averages_crops(self):
