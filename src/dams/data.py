@@ -196,35 +196,50 @@ def save_dataset(records, out_dir):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _numbers(row, key, where):
+    """The optional per-frame manifest field `key` as a float64 vector, or None."""
+    if key not in row:
+        return None
+    try:
+        values = np.asarray(row[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FeatureFileError(f"{where}: {key!r} must be a list of numbers: {exc}") from exc
+    if values.ndim != 1:
+        raise FeatureFileError(f"{where}: {key!r} must be a list of numbers")
+    return values
+
+
 def load_dataset(in_dir):
     in_dir = Path(in_dir)
     manifest = in_dir / MANIFEST_NAME
     if not manifest.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {in_dir}")
     records = []
-    with open(manifest, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(manifest, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{manifest}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FeatureFileError(f"{where}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FeatureFileError(f"{manifest}:{lineno}: not JSON: {exc}") from exc
+                raise FeatureFileError(f"{where}: not JSON: {exc}") from exc
             if not (isinstance(row, dict) and isinstance(row.get("id"), str)
                     and isinstance(row.get("label"), str)
                     and isinstance(row.get("feature_files"), list)
                     and all(isinstance(f, str) for f in row["feature_files"])):
                 raise FeatureFileError(
-                    f"{manifest}:{lineno}: a row must be an object with string 'id' "
+                    f"{where}: a row must be an object with string 'id' "
                     "and 'label' and a list of strings 'feature_files'")
             crops = [read_feature_file(in_dir / rel) for rel in row["feature_files"]]
             records.append(VideoRecord(
                 id=row["id"], crops=crops, label=row["label"],
-                frame_gt=(np.asarray(row["frame_gt"], dtype=np.float64)
-                          if "frame_gt" in row else None),
-                pseudo_probs=(np.asarray(row["pseudo_probs"], dtype=np.float64)
-                              if "pseudo_probs" in row else None)))
+                frame_gt=_numbers(row, "frame_gt", where),
+                pseudo_probs=_numbers(row, "pseudo_probs", where)))
     return records
 
 

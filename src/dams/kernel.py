@@ -10,6 +10,23 @@ Conventions (pinned by tests):
   - avg_pool1d divides by the number of in-bounds elements only
     (count-exclude-pad).
   - max_pool1d pads with -inf; the sentinel never wins on finite input.
+
+Summation order (pinned byte for byte against numpy references in
+tests/test_kernel.py):
+  - conv1d is one gemm, out = W[Cout, Cin*K] @ cols[Cin*K, B*T'], where
+    cols (im2col) holds tap k of input channel c in row c*K + k. The result
+    is returned as a view: [B, Cout, T'] indexing, [Cout, B, T'] in memory.
+    The backward computes dW = cols @ g[B*T', Cout] and adds
+    W[:, :, k].T @ g[Cout, B*T'] for each tap into zeros laid out like the
+    padded input. These are the operands, shapes and layouts numpy's
+    optimized einsum hands to matmul for the window-view formulation, so
+    every result has its bytes (Cin = 1 with B = 1 or K = 1 excepted).
+  - avg_pool1d adds strided taps in the order numpy's pairwise summation
+    adds the elements of one window, so each output has the bytes of
+    numpy's sum over the window of a C-contiguous or channel-major input
+    (numpy sums windows of 8 or more taps one by one instead when time is
+    not the fastest-varying axis of an unpadded input; the model makes no
+    such input).
 """
 
 from __future__ import annotations
@@ -17,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class DimensionError(ValueError):
@@ -63,11 +80,35 @@ def zero_grads(params) -> None:
 # conv1d
 # ---------------------------------------------------------------------------
 
+def _pad_time(x, padding):
+    """`x` with `padding` zeros at both ends of the time axis, laid out as
+    np.pad lays it out (Fortran order for a Fortran-only input)."""
+    if not padding:
+        return x
+    B, C, T = x.shape
+    xp = np.zeros((B, C, T + 2 * padding), order="F" if x.flags.fnc else "C")
+    xp[:, :, padding:padding + T] = x
+    return xp
+
+
+def _im2col(xp, K, To):
+    """[C*K, B*To] columns: row c*K + k holds xp[b, c, k:k + To] for each b.
+
+    A strided view of `xp` reshaped: numpy copies it in C order unless the
+    reshape can stay a view (K = 1 on a channel-major input, or To = 1).
+    """
+    B, C, _ = xp.shape
+    sb, sc, st = xp.strides
+    taps = as_strided(xp, (C, K, B, To), (sc, st, sb, st), writeable=False)
+    return taps.reshape(C * K, B * To)
+
+
 def conv1d(x, w, b, padding=0):
     """1D cross-correlation, stride 1.
 
     x: [B, Cin, T], w: [Cout, Cin, K], b: [Cout] -> out [B, Cout, T']
-    with T' = T + 2*padding - K + 1.
+    with T' = T + 2*padding - K + 1. The output is a channel-major view
+    ([Cout, B, T'] in memory) of one [Cout, Cin*K] x [Cin*K, B*T'] gemm.
     """
     B, cin, T = x.shape
     cout, cin_w, K = w.shape
@@ -75,22 +116,25 @@ def conv1d(x, w, b, padding=0):
         raise DimensionError(f"conv1d: input channels {cin} != kernel channels {cin_w}")
     if K < 1 or padding < 0 or T + 2 * padding < K:
         raise DimensionError(f"conv1d: kernel {K} does not fit T={T}, padding={padding}")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    win = sliding_window_view(xp, K, axis=2)  # [B, Cin, T', K]
-    out = np.einsum("bctk,ock->bot", win, w, optimize=True) + b[None, :, None]
-    return out, (xp, w, padding, T)
+    xp = _pad_time(x, padding)
+    To = T + 2 * padding - K + 1
+    out = np.matmul(w.reshape(cout, cin * K), _im2col(xp, K, To))
+    out += b[:, None]
+    return out.reshape(cout, B, To).transpose(1, 0, 2), (xp, w, padding, T)
 
 
 def conv1d_backward(g, cache):
     xp, w, padding, T = cache
-    K = w.shape[2]
-    win = sliding_window_view(xp, K, axis=2)
-    dw = np.einsum("bot,bctk->ock", g, win, optimize=True)
+    cout, cin, K = w.shape
+    B, _, To = g.shape
+    dw = np.matmul(_im2col(xp, K, To), g.transpose(0, 2, 1).reshape(B * To, cout))
+    dw = dw.reshape(cin, K, cout).transpose(2, 0, 1)
     db = g.sum(axis=(0, 2))
+    g_cols = g.transpose(1, 0, 2).reshape(cout, B * To)
     dxp = np.zeros_like(xp)
-    To = g.shape[2]
     for k in range(K):
-        dxp[:, :, k:k + To] += np.einsum("bot,oc->bct", g, w[:, :, k], optimize=True)
+        dxk = np.matmul(w[:, :, k].T, g_cols)
+        dxp[:, :, k:k + To] += dxk.reshape(cin, B, To).transpose(1, 0, 2)
     dx = dxp[:, :, padding:padding + T] if padding else dxp
     return dx, dw, db
 
@@ -109,18 +153,59 @@ def _pool_geometry(T, kernel, stride, padding):
     return Tp, To
 
 
+def _add(a, b):
+    """a + b, written into `a` when it is a scratch array rather than a view."""
+    return np.add(a, b, out=a if a.base is None else None)
+
+
+def _tap_sum(tap, lo, n):
+    """Sum of the arrays tap(lo) .. tap(lo + n - 1) in numpy's pairwise order.
+
+    numpy sums a row of n elements as follows (`pairwise_sum`): below 8 one
+    by one; up to 128 in 8 running sums r_j over elements j, j+8, ... of the
+    largest multiple of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest one by one; above 128 as the sum of two halves, the first
+    a multiple of 8 long. At most four arrays of the output's shape are live
+    (one more per halving). Below 8 the sum starts from 0.0 as a reduction
+    does, which only turns an all -0.0 sum into 0.0.
+    """
+    if n < 8:
+        acc = tap(lo) + 0.0
+        for k in range(lo + 1, lo + n):
+            acc += tap(k)
+        return acc
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _add(_tap_sum(tap, lo, half), _tap_sum(tap, lo + half, n - half))
+    body = lo + n - n % 8
+
+    def lane(j):
+        acc = tap(lo + j)
+        for k in range(lo + j + 8, body, 8):
+            acc = _add(acc, tap(k))
+        return acc
+    acc = _add(_add(_add(lane(0), lane(1)), _add(lane(2), lane(3))),
+               _add(_add(lane(4), lane(5)), _add(lane(6), lane(7))))
+    for k in range(body, lo + n):
+        acc += tap(k)
+    return acc
+
+
 def avg_pool1d(x, kernel, stride=1, padding=0):
     """Average pooling; the divisor counts only in-bounds elements."""
     B, C, T = x.shape
     Tp, To = _pool_geometry(T, kernel, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    win = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
     starts = np.arange(To) * stride
     counts = (np.minimum(starts + kernel, padding + T)
               - np.maximum(starts, padding)).astype(np.float64)
     if np.any(counts < 1):
         raise DimensionError("avg_pool1d: window contains no in-bounds elements")
-    out = win.sum(axis=3) / counts
+    xp = _pad_time(x, padding)
+    span = stride * (To - 1) + 1
+    out = _tap_sum(lambda k: xp[:, :, k:k + span:stride], 0, kernel)
+    if kernel >= 8:
+        out += 0.0  # the reduction's 0.0 start: an all -0.0 sum becomes 0.0
+    out /= counts
     return out, (x.shape, kernel, stride, padding, counts)
 
 

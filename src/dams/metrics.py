@@ -27,6 +27,15 @@ def _validate(scores, labels):
     return scores, labels
 
 
+def _tie_blocks(sorted_scores):
+    """(first, last) index arrays of the runs of equal scores in a sorted array."""
+    n = sorted_scores.shape[0]
+    first = np.flatnonzero(np.concatenate(
+        ([True], sorted_scores[1:] != sorted_scores[:-1])))
+    last = np.append(first[1:], n) - 1
+    return first, last
+
+
 def roc_auc(scores, labels):
     """P(score_pos > score_neg) + 0.5 * P(tie), via a rank sweep."""
     scores, labels = _validate(scores, labels)
@@ -35,15 +44,10 @@ def roc_auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes")
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    first, last = _tie_blocks(scores[order])
     ranks = np.empty(scores.shape[0])
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # every member of a tie block gets the block's average 1-based rank
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = ranks[labels > 0.5].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -51,31 +55,19 @@ def roc_auc(scores, labels):
 def average_precision(scores, labels):
     """AP = sum_n (R_n - R_{n-1}) P_n over the descending-score sweep.
 
-    All items sharing a score enter the sweep together.
+    All items sharing a score enter the sweep together; the per-block terms
+    are added in sweep order.
     """
     scores, labels = _validate(scores, labels)
     n_pos = int((labels > 0.5).sum())
     if n_pos == 0:
         raise UndefinedMetricError("average_precision needs at least one positive")
     order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order] > 0.5
-    ap = 0.0
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        block_tp = int(y[i:j + 1].sum())
-        block_fp = (j - i + 1) - block_tp
-        tp += block_tp
-        fp += block_fp
-        if block_tp:
-            precision = tp / (tp + fp)
-            ap += (block_tp / n_pos) * precision
-        i = j + 1
-    return float(ap)
+    _, last = _tie_blocks(scores[order])
+    tp = np.cumsum(labels[order] > 0.5)[last]
+    block_tp = np.diff(tp, prepend=0)
+    terms = (block_tp / n_pos) * (tp / (last + 1))
+    return float(np.cumsum(terms)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from . import kernel
 from . import losses as L
 from .amtpn import ConfigError, PyramidConfig
 from .cbam import CbamConfig
-from .data import (Batch, batch_iter, read_container, tencrop_aggregate,
-                   write_container)
+from .data import (Batch, FeatureFileError, batch_iter, read_container,
+                   tencrop_aggregate, write_container)
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
 from .metrics import average_precision, roc_auc
 from .model import DamsModel, ModelConfig
@@ -200,7 +200,19 @@ def _restore_state(arrays, state, prefix=""):
         src = arrays.get(prefix + name)
         if src is None:
             raise ConfigError(f"checkpoint is missing array {prefix + name!r}")
-        dst[...] = src.reshape(dst.shape)
+        if src.shape != dst.shape:
+            raise FeatureFileError(f"checkpoint array {prefix + name!r} has shape "
+                                   f"{src.shape}, expected {dst.shape}")
+        dst[...] = src
+
+
+def _meta_value(meta, key, convert):
+    """`convert(meta[key])`; a missing or ill-typed entry is a format error."""
+    try:
+        return convert(meta[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FeatureFileError(
+            f"checkpoint meta entry {key!r} is missing or invalid") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +372,10 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
         if meta.get("config_hash") != cfg_hash:
             raise ConfigError("checkpoint config hash does not match the run config")
         _restore_state(arrays, _all_state(model, weights, opt))
-        opt.t = int(meta["adam_t"])
-        start_iter = int(meta["iteration"])
-        best_auc = float(meta["best_auc"])
-        best_iteration = int(meta["best_iteration"])
+        opt.t = _meta_value(meta, "adam_t", int)
+        start_iter = _meta_value(meta, "iteration", int)
+        best_auc = _meta_value(meta, "best_auc", float)
+        best_iteration = _meta_value(meta, "best_iteration", int)
         if best_iteration >= 0:
             best_state = snapshot_state()
             _restore_state(arrays, best_state, "best/")
@@ -437,7 +449,7 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
 def load_model_for_inference(path):
     """Rebuild a model (and its config) from any checkpoint file."""
     arrays, meta = load_checkpoint(path)
-    cfg = config_from_dict(meta["config"])
+    cfg = config_from_dict(_meta_value(meta, "config", dict))
     model, weights = build_model(cfg)
     prefix = "" if "uncertainty.rho" in arrays else "best/"
     _restore_state(arrays, _all_state(model, weights), prefix)

@@ -26,6 +26,9 @@ from dams.model import (ClipPathConfig, ModelConfig, clip_binary_probs,
                         clip_scores, pseudo_labels)
 from dams.trainer import (TrainConfig, build_model, evaluate, train)
 
+# minutes, not seconds: `pytest -m "not slow"` runs the unit tests alone
+pytestmark = pytest.mark.slow
+
 
 class Criterion:
     """Collects sub-checks and emits a single PASS/FAIL verdict line."""

@@ -10,6 +10,7 @@ import pytest
 from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
 from dams.data import load_dataset
+from dams.trainer import save_checkpoint
 
 SMALL_MODEL_JSON = {
     "model": {"input_dim": 6, "channels": 8, "depth": 1, "head_hidden": 4,
@@ -152,6 +153,12 @@ class TestEvalScorePlot:
         bad.write_bytes(bytes(blob))
         code = main(["eval", "--dataset", str(dataset),
                      "--checkpoint", str(bad)])
+        assert code == EXIT_FORMAT
+
+    def test_checkpoint_without_meta_exit_code(self, tmp_path, dataset):
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(bare, {"a": [1.0]}, {})
+        code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(bare)])
         assert code == EXIT_FORMAT
 
     def test_malformed_manifest_exit_code(self, tmp_path, dataset, trained):

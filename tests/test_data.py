@@ -418,3 +418,27 @@ class TestManifestRows:
         manifest.write_text(rows + "\n" + line + "\n")
         with pytest.raises(FeatureFileError, match=re.escape(f"{manifest}:4:")):
             load_dataset(tmp_path)
+
+    def _dataset(self, tmp_path):
+        save_dataset(synthesize_dataset(SyntheticSpec(num_videos=1, t_min=4,
+                                                      t_max=4, input_dim=2)),
+                     tmp_path)
+        return tmp_path / "manifest.jsonl"
+
+    @pytest.mark.parametrize("key", ["frame_gt", "pseudo_probs"])
+    @pytest.mark.parametrize("value", ["abc", [0.0, "x"], [[0.0], [1.0, 2.0]], None, 3.0])
+    def test_non_numeric_field_is_a_format_error_with_line(self, tmp_path, key,
+                                                           value):
+        manifest = self._dataset(tmp_path)
+        manifest.write_text(manifest.read_text()
+                            + json.dumps(dict(self.GOOD, **{key: value})) + "\n")
+        with pytest.raises(FeatureFileError,
+                           match=re.escape(f"{manifest}:2: {key!r}")):
+            load_dataset(tmp_path)
+
+    def test_invalid_utf8_is_a_format_error_with_line(self, tmp_path):
+        manifest = self._dataset(tmp_path)
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(FeatureFileError,
+                           match=re.escape(f"{manifest}:2: not UTF-8")):
+            load_dataset(tmp_path)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dams import kernel
 from dams.kernel import (DegenerateBatchError, DimensionError, GradCheckAborted,
@@ -138,6 +139,117 @@ class TestAvgPoolBackward:
             return (out * r).sum()
         report = grad_check(fn, [x], tolerance=1e-8)
         assert report.passed, report.max_rel_error
+
+
+def assert_same_array(a, b):
+    """Equal shape, bytes and memory layout (strides of axes longer than 1):
+    the layout sets the summation order of later reductions."""
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+    assert ([s for s, n in zip(a.strides, a.shape) if n > 1]
+            == [s for s, n in zip(b.strides, b.shape) if n > 1])
+
+
+def conv1d_einsum(x, w, b, padding=0):
+    """Reference: conv1d as an einsum over a sliding-window view."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+    win = sliding_window_view(xp, w.shape[2], axis=2)
+    return np.einsum("bctk,ock->bot", win, w, optimize=True) + b[None, :, None]
+
+
+def conv1d_backward_einsum(g, cache):
+    """Reference: conv1d_backward as one einsum for dw and one per tap for dx."""
+    xp, w, padding, T = cache
+    K = w.shape[2]
+    win = sliding_window_view(xp, K, axis=2)
+    dw = np.einsum("bot,bctk->ock", g, win, optimize=True)
+    db = g.sum(axis=(0, 2))
+    dxp = np.zeros_like(xp)
+    To = g.shape[2]
+    for k in range(K):
+        dxp[:, :, k:k + To] += np.einsum("bot,oc->bct", g, w[:, :, k], optimize=True)
+    dx = dxp[:, :, padding:padding + T] if padding else dxp
+    return dx, dw, db
+
+
+def avg_pool1d_window_sum(x, kernel_size, stride=1, padding=0):
+    """Reference: avg_pool1d as a sum over a sliding-window view."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+    win = sliding_window_view(xp, kernel_size, axis=2)[:, :, ::stride]
+    starts = np.arange(win.shape[2]) * stride
+    T = x.shape[2]
+    counts = (np.minimum(starts + kernel_size, padding + T)
+              - np.maximum(starts, padding)).astype(np.float64)
+    return win.sum(axis=3) / counts
+
+
+def wide_range(rng, shape, layout):
+    """Values over ~30 binades, so that any change of summation order shows.
+    layout "c": C-contiguous; "cm": channel-major ([C, B, T] in memory), as
+    conv1d and the elementwise layers after it return."""
+    if layout == "cm":
+        return wide_range(rng, (shape[1], shape[0], shape[2]), "c").transpose(1, 0, 2)
+    return rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape))
+
+
+CONV_WIDTHS = ((16, 16), (16, 8), (8, 1), (64, 16), (64, 128), (128, 128),
+               (128, 64), (64, 1), (2, 1))
+
+
+class TestConvGemmBytes:
+    """conv1d/conv1d_backward as gemms give the einsum reference's bytes."""
+
+    @pytest.mark.parametrize("K", [1, 3, 7])
+    @pytest.mark.parametrize("cin,cout", CONV_WIDTHS)
+    @pytest.mark.parametrize("x_layout", ["c", "cm"])
+    def test_matches_einsum(self, K, cin, cout, x_layout):
+        rng = np.random.default_rng([K, cin, cout])
+        w = rng.uniform(-1, 1, (cout, cin, K))
+        b = rng.uniform(-1, 1, cout)
+        for padding in sorted({0, K // 2}):
+            # (3, 11): a batch; (1, 9): one video; T = K - 2*padding: T' = 1
+            for B, T in ((3, 11), (1, 9), (4, K - 2 * padding)):
+                if T < 1:
+                    continue
+                x = wide_range(rng, (B, cin, T), x_layout)
+                out, cache = kernel.conv1d(x, w, b, padding)
+                assert_same_array(out, conv1d_einsum(x, w, b, padding))
+                for g_layout in ("c", "cm"):
+                    g = wide_range(rng, out.shape, g_layout)
+                    for got, ref in zip(kernel.conv1d_backward(g, cache),
+                                        conv1d_backward_einsum(g, cache)):
+                        assert_same_array(got, ref)
+
+
+class TestAvgPoolTapBytes:
+    """avg_pool1d as strided-tap sums gives the window-sum reference's bytes."""
+
+    @pytest.mark.parametrize("kernel_size,stride,padding,T", POOL_GEOMETRIES)
+    @pytest.mark.parametrize("layout", ["c", "cm"])
+    def test_pool_geometries(self, kernel_size, stride, padding, T, layout):
+        x = wide_range(np.random.default_rng([kernel_size, T]), (2, 3, T), layout)
+        out, _ = kernel.avg_pool1d(x, kernel_size, stride, padding)
+        assert_same_array(out, avg_pool1d_window_sum(x, kernel_size, stride, padding))
+
+    # 8 and 16 taps start the unrolled sums; 129 and 300 split in halves
+    @pytest.mark.parametrize("kernel_size", list(range(1, 41)) + [129, 300])
+    @pytest.mark.parametrize("layout", ["c", "cm"])
+    def test_kernels_and_strides(self, kernel_size, layout):
+        rng = np.random.default_rng(kernel_size)
+        for stride in (1, 2, 3, 5):
+            for padding in sorted({0, kernel_size // 2}):
+                x = wide_range(rng, (2, 3, kernel_size + 2 * stride + 1), layout)
+                out, _ = kernel.avg_pool1d(x, kernel_size, stride, padding)
+                assert_same_array(
+                    out, avg_pool1d_window_sum(x, kernel_size, stride, padding))
+
+    @pytest.mark.parametrize("kernel_size", [1, 2, 3, 7, 8, 9, 16, 27, 40])
+    def test_negative_zero_window(self, kernel_size):
+        x = np.full((2, 3, kernel_size + 2), -0.0)
+        out, _ = kernel.avg_pool1d(x, kernel_size)
+        ref = avg_pool1d_window_sum(x, kernel_size)
+        assert_same_array(out, ref)
+        assert not np.signbit(ref).any()  # numpy sums from +0.0
 
 
 class TestGlobalAvgPool:

@@ -43,6 +43,71 @@ def brute_force_ap(scores, labels):
     return ap
 
 
+def roc_auc_loop(scores, labels):
+    """Reference: roc_auc with a Python loop over the tie blocks."""
+    labels = np.asarray(labels, dtype=np.float64)
+    n_pos = int((labels > 0.5).sum())
+    n_neg = labels.shape[0] - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.shape[0])
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
+        i = j + 1
+    rank_sum = ranks[labels > 0.5].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def average_precision_loop(scores, labels):
+    """Reference: average_precision with a Python loop over the tie blocks."""
+    labels = np.asarray(labels, dtype=np.float64)
+    n_pos = int((labels > 0.5).sum())
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order] > 0.5
+    ap = 0.0
+    tp = fp = 0
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[j + 1] == s[i]:
+            j += 1
+        block_tp = int(y[i:j + 1].sum())
+        tp += block_tp
+        fp += (j - i + 1) - block_tp
+        if block_tp:
+            ap += (block_tp / n_pos) * (tp / (tp + fp))
+        i = j + 1
+    return float(ap)
+
+
+def test_vectorized_tie_blocks_repr_equal_to_loops():
+    """The array form of the tie-block sweep returns the loops' exact floats."""
+    r = rng(3)
+    for case in range(3000):
+        m = int(r.integers(1, 400))
+        levels = int(r.integers(1, 12))
+        if case % 3:
+            scores = r.integers(0, levels, m) / levels  # heavy ties
+        else:
+            scores = r.standard_normal(m)
+        if case % 7 == 0:
+            scores[r.integers(0, m)] = np.nan
+        if case % 11 == 0:
+            scores = np.where(scores == 0.0, -0.0, scores)
+        labels = (r.random(m) < r.random()).astype(float)
+        n_pos = int(labels.sum())
+        if n_pos:
+            assert (repr(average_precision(scores, labels))
+                    == repr(average_precision_loop(scores, labels)))
+        if 0 < n_pos < m:
+            assert repr(roc_auc(scores, labels)) == repr(roc_auc_loop(scores, labels))
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         assert roc_auc(np.asarray([0.1, 0.2, 0.8, 0.9]),

@@ -11,8 +11,8 @@ import pytest
 
 from dams.amtpn import ConfigError, PyramidConfig
 from dams.cbam import CbamConfig
-from dams.data import (BadMagicError, ChecksumError, SyntheticSpec,
-                       synthesize_dataset)
+from dams.data import (BadMagicError, ChecksumError, FeatureFileError,
+                       SyntheticSpec, synthesize_dataset)
 from dams.losses import LossConfig
 from dams.model import ModelConfig
 from dams.trainer import (ABLATION_VARIANTS, Adam, TrainConfig, apply_variant,
@@ -283,6 +283,40 @@ class TestTraining:
         save_checkpoint(tmp_path / "nobest.ckpt", arrays, meta)
         with pytest.raises(ConfigError, match=re.escape(repr(missing))):
             train(cfg, records, resume=tmp_path / "nobest.ckpt")
+
+    @pytest.mark.parametrize("key", ["adam_t", "iteration", "best_auc",
+                                     "best_iteration"])
+    @pytest.mark.parametrize("value", [None, "abc"])
+    def test_resume_bad_meta_entry_names_it(self, tmp_path, key, value):
+        records = small_records()
+        cfg = small_config()
+        train(cfg, records, out_dir=tmp_path)
+        arrays, meta = load_checkpoint(tmp_path / "checkpoint_final.ckpt")
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        save_checkpoint(tmp_path / "badmeta.ckpt", arrays, meta)
+        with pytest.raises(FeatureFileError, match=re.escape(repr(key))):
+            train(cfg, records, resume=tmp_path / "badmeta.ckpt")
+
+    def test_wrong_shape_array_names_it(self, tmp_path):
+        records = small_records()
+        cfg = small_config(max_iterations=2)
+        train(cfg, records, out_dir=tmp_path)
+        arrays, meta = load_checkpoint(tmp_path / "checkpoint_final.ckpt")
+        name = "uncertainty.rho"
+        arrays[name] = np.append(arrays[name], 0.0)
+        save_checkpoint(tmp_path / "wide.ckpt", arrays, meta)
+        with pytest.raises(FeatureFileError, match=re.escape(repr(name))):
+            train(cfg, records, resume=tmp_path / "wide.ckpt")
+        with pytest.raises(FeatureFileError, match=re.escape(repr(name))):
+            load_model_for_inference(tmp_path / "wide.ckpt")
+
+    def test_inference_load_without_config_names_it(self, tmp_path):
+        save_checkpoint(tmp_path / "bare.ckpt", {"a": [1.0]}, {})
+        with pytest.raises(FeatureFileError, match="'config'"):
+            load_model_for_inference(tmp_path / "bare.ckpt")
 
 
 class TestEvaluate:
