@@ -21,12 +21,21 @@ tests/test_kernel.py):
     padded input. These are the operands, shapes and layouts numpy's
     optimized einsum hands to matmul for the window-view formulation, so
     every result has its bytes (Cin = 1 with B = 1 or K = 1 excepted).
-  - avg_pool1d adds strided taps in the order numpy's pairwise summation
-    adds the elements of one window, so each output has the bytes of
-    numpy's sum over the window of a C-contiguous or channel-major input
+  - avg_pool1d adds the taps of each window in the order numpy's pairwise
+    summation adds the elements of one window, so each output has the bytes
+    of numpy's sum over the window of a C-contiguous or channel-major input
     (numpy sums windows of 8 or more taps one by one instead when time is
     not the fastest-varying axis of an unpadded input; the model makes no
-    such input).
+    such input). Windows of 8 or more taps share their lanes: the running
+    sum over taps j, j+8, ... of window t is that over taps 0, 8, ... of
+    window t + j, so one lane array over every padded position, and two
+    shifted-view combines of it, serve all windows. Sums run at stride 1;
+    a strided pool takes every stride-th window of them.
+  - batch_norm1d's training statistics have the bytes of x.mean and x.var
+    over (B, T): one sum divided by the count, the centred input computed
+    once for the variance and xhat. Its backward keeps the reference
+    operation order inv_std * ((dxhat - s1/n) - (xhat*s2)/n) and the layout
+    of dx that order gives for any layouts of x and g.
 """
 
 from __future__ import annotations
@@ -158,36 +167,41 @@ def _add(a, b):
     return np.add(a, b, out=a if a.base is None else None)
 
 
-def _tap_sum(tap, lo, n):
-    """Sum of the arrays tap(lo) .. tap(lo + n - 1) in numpy's pairwise order.
+def _window_sums(xp, n, count):
+    """[B, C, count]: the sum of the n taps xp[:, :, p:p + n] for each p <
+    count, added in numpy's pairwise order (`pairwise_sum`).
 
-    numpy sums a row of n elements as follows (`pairwise_sum`): below 8 one
-    by one; up to 128 in 8 running sums r_j over elements j, j+8, ... of the
-    largest multiple of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the rest one by one; above 128 as the sum of two halves, the first
-    a multiple of 8 long. At most four arrays of the output's shape are live
-    (one more per halving). Below 8 the sum starts from 0.0 as a reduction
-    does, which only turns an all -0.0 sum into 0.0.
+    numpy sums a row of n elements as follows: below 8 one by one, from 0.0
+    as a reduction starts; up to 128 in 8 running lane sums r_j over
+    elements j, j+8, ... of the largest multiple of 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one; above 128
+    as the sum of two halves, the first a multiple of 8 long. Lane j of
+    window p is lane 0 of window p + j, so one lane array L serves all
+    eight: P[p] = L[p] + L[p+1] holds r0+r1 of window p (and r2+r3 of window
+    p - 2), Q[p] = P[p] + P[p+2] its first four lanes, and the eight lanes
+    are Q[p] + Q[p+4]. At most two arrays about the output's size are live.
     """
     if n < 8:
-        acc = tap(lo) + 0.0
-        for k in range(lo + 1, lo + n):
-            acc += tap(k)
+        acc = xp[:, :, :count] + 0.0
+        for k in range(1, n):
+            acc += xp[:, :, k:k + count]
         return acc
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _add(_tap_sum(tap, lo, half), _tap_sum(tap, lo + half, n - half))
-    body = lo + n - n % 8
-
-    def lane(j):
-        acc = tap(lo + j)
-        for k in range(lo + j + 8, body, 8):
-            acc = _add(acc, tap(k))
-        return acc
-    acc = _add(_add(_add(lane(0), lane(1)), _add(lane(2), lane(3))),
-               _add(_add(lane(4), lane(5)), _add(lane(6), lane(7))))
-    for k in range(body, lo + n):
-        acc += tap(k)
+        return _add(_window_sums(xp, half, count),
+                    _window_sums(xp[:, :, half:], n - half, count))
+    body = n - n % 8
+    lanes = xp[:, :, :count + 7]
+    for k in range(8, body, 8):
+        lanes = _add(lanes, xp[:, :, k:k + count + 7])
+    pairs = lanes[:, :, :-1] + lanes[:, :, 1:]
+    del lanes
+    quads = pairs[:, :, :-2] + pairs[:, :, 2:]
+    del pairs
+    acc = quads[:, :, :count] + quads[:, :, 4:]
+    del quads
+    for k in range(body, n):
+        acc += xp[:, :, k:k + count]
     return acc
 
 
@@ -200,9 +214,10 @@ def avg_pool1d(x, kernel, stride=1, padding=0):
               - np.maximum(starts, padding)).astype(np.float64)
     if np.any(counts < 1):
         raise DimensionError("avg_pool1d: window contains no in-bounds elements")
-    xp = _pad_time(x, padding)
-    span = stride * (To - 1) + 1
-    out = _tap_sum(lambda k: xp[:, :, k:k + span:stride], 0, kernel)
+    # every window at stride 1 up to the last one needed, then the strided ones
+    out = _window_sums(_pad_time(x, padding), kernel, stride * (To - 1) + 1)
+    if stride > 1:
+        out = out[:, :, ::stride].copy(order="K")
     if kernel >= 8:
         out += 0.0  # the reduction's 0.0 start: an all -0.0 sum becomes 0.0
     out /= counts
@@ -332,37 +347,64 @@ class BatchNormState:
 
 
 def batch_norm1d(x, gamma, beta, state, train):
-    """Per-channel normalization over (B, T) with learnable scale/shift."""
+    """Per-channel normalization over (B, T) with learnable scale/shift.
+
+    Training takes the statistics with the arithmetic of x.mean and x.var
+    over (B, T): one sum divided by the count, and the centred input, whose
+    squares summed and divided by the count give the variance and which,
+    scaled in place, is xhat. Evaluation normalizes with the running
+    statistics in one buffer; its cache keeps the input instead of xhat.
+    """
     B, C, T = x.shape
-    if train:
-        if B * T < 2:
-            raise DegenerateBatchError(f"batch_norm1d: B*T = {B * T} < 2")
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
-        state.running_mean[...] = (state.momentum * state.running_mean
-                                   + (1.0 - state.momentum) * mean)
-        state.running_var[...] = (state.momentum * state.running_var
-                                  + (1.0 - state.momentum) * var)
-    else:
-        mean = state.running_mean
-        var = state.running_var
+    n = B * T
+    if not train:
+        mean = state.running_mean[None, :, None].copy()
+        inv_std = 1.0 / np.sqrt(state.running_var[None, :, None] + state.eps)
+        out = x - mean
+        out *= inv_std
+        out *= gamma[None, :, None]
+        out += beta[None, :, None]
+        return out, (x, mean, inv_std, gamma, n, train)
+    if n < 2:
+        raise DegenerateBatchError(f"batch_norm1d: B*T = {n} < 2")
+    mean = x.sum(axis=(0, 2), keepdims=True)
+    mean /= n
+    xhat = x - mean
+    var = (xhat * xhat).sum(axis=(0, 2), keepdims=True)
+    var /= n
+    state.running_mean[...] = (state.momentum * state.running_mean
+                               + (1.0 - state.momentum) * mean.reshape(C))
+    state.running_var[...] = (state.momentum * state.running_var
+                              + (1.0 - state.momentum) * var.reshape(C))
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
-    return out, (xhat, inv_std, gamma, B * T, train)
+    xhat *= inv_std
+    out = xhat * gamma[None, :, None]
+    out += beta[None, :, None]
+    return out, (xhat, None, inv_std, gamma, n, train)
 
 
 def batch_norm1d_backward(g, cache):
-    xhat, inv_std, gamma, n, train = cache
-    dgamma = (g * xhat).sum(axis=(0, 2))
+    xhat, mean, inv_std, gamma, n, train = cache
+    if not train:  # the cache holds the input: rebuild xhat as the forward did
+        xhat = xhat - mean
+        xhat *= inv_std
+    buf = g * xhat
+    dgamma = buf.sum(axis=(0, 2))
     dbeta = g.sum(axis=(0, 2))
     dxhat = g * gamma[None, :, None]
-    if train:
-        s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        dx = inv_std[None, :, None] * (dxhat - s1 / n - xhat * s2 / n)
-    else:
-        dx = dxhat * inv_std[None, :, None]
+    if not train:
+        dxhat *= inv_std
+        return dxhat, dgamma, dbeta
+    s1 = dxhat.sum(axis=(0, 2), keepdims=True)
+    s2 = np.multiply(dxhat, xhat, out=buf).sum(axis=(0, 2), keepdims=True)
+    del buf
+    # inv_std * ((dxhat - s1/n) - (xhat*s2)/n). Each operand of the last
+    # subtraction is laid out as its out-of-place form, so dx is too.
+    dxhat -= s1 / n
+    buf = xhat * s2
+    buf /= n
+    dx = np.subtract(dxhat, buf, out=dxhat if dxhat.strides == buf.strides else None)
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 

@@ -147,34 +147,46 @@ def triplet_loss(f_a, f_p, f_n, margin):
     return raw, 2.0 * (f_n - f_p), -2.0 * dap, 2.0 * dan
 
 
+def _pairs(frames):
+    videos, times = frames
+    return list(zip(videos.tolist(), times.tolist()))
+
+
 @dataclasses.dataclass
 class TripletSelection:
     """Frame memberships of the three mean embeddings.
 
-    Each entry is (video index, frame index); the mean runs over the listed
-    frames, so each frame receives 1/len of the embedding gradient.
+    Each set is a pair of index arrays (videos, frames) naming distinct
+    frames; the mean runs over the listed frames, so each frame receives
+    1/len of the embedding gradient. `*_frames` lists a set as (video,
+    frame) tuples.
     """
-    anchor_frames: list
-    positive_frames: list
-    negative_frames: list
+    anchor: tuple
+    positive: tuple
+    negative: tuple
     f_a: np.ndarray
     f_p: np.ndarray
     f_n: np.ndarray
 
+    anchor_frames = property(lambda self: _pairs(self.anchor))
+    positive_frames = property(lambda self: _pairs(self.positive))
+    negative_frames = property(lambda self: _pairs(self.negative))
+
     def scatter_grads(self, d_fa, d_fp, d_fn, d_embeddings):
-        for frames, d in ((self.anchor_frames, d_fa),
-                          (self.positive_frames, d_fp),
-                          (self.negative_frames, d_fn)):
-            w = 1.0 / len(frames)
-            for b, t in frames:
-                d_embeddings[b, :, t] += w * d
+        # frames are distinct within a set, so one indexed += per set adds to
+        # each frame what a loop over the set would, sets in the same order
+        for (videos, times), d in ((self.anchor, d_fa), (self.positive, d_fp),
+                                   (self.negative, d_fn)):
+            d_embeddings[videos, :, times] += (1.0 / len(videos)) * d
 
 
 def _mean_embedding(embeddings, frames):
-    acc = np.zeros(embeddings.shape[1])
-    for b, t in frames:
-        acc += embeddings[b, :, t]
-    return acc / len(frames)
+    """Mean of the frames' embeddings, added in list order from 0.0 as a
+    running sum would be: the last row of a cumsum over a leading zero row."""
+    videos, times = frames
+    rows = np.zeros((len(videos) + 1, embeddings.shape[1]))
+    rows[1:] = embeddings[videos, :, times]
+    return np.cumsum(rows, axis=0)[-1] / len(videos)
 
 
 def build_triplet(embeddings, frame_scores, pseudo, video_labels, mask,
@@ -189,26 +201,28 @@ def build_triplet(embeddings, frame_scores, pseudo, video_labels, mask,
     labels = np.asarray(video_labels, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     abn = np.nonzero(labels > 0.5)[0]
-    nrm = np.nonzero(labels <= 0.5)[0]
-    if len(abn) == 0 or len(nrm) == 0:
+    normal = labels <= 0.5
+    if len(abn) == 0 or not normal.any():
         return None
 
-    anchor = []
+    videos, times = [], []
     for b in abn:
         valid = int(mask[b].sum())
         if valid < 1:
             continue
         masked = np.where(mask[b] > 0, frame_scores[b], -np.inf)
-        k = topk_count(valid, topk_fraction)
-        anchor.extend((int(b), int(t)) for t in topk_indices(masked, k))
-    negative = [(int(b), int(t)) for b in nrm
-                for t in np.nonzero(mask[b] > 0)[0]]
-    if not anchor or not negative:
+        top = topk_indices(masked, topk_count(valid, topk_fraction))
+        videos.append(np.full(len(top), b))
+        times.append(top)
+    valid = mask > 0
+    negative = np.nonzero(valid & normal[:, None])
+    if not videos or len(negative[0]) == 0:
         return None
-    positive = [(int(b), int(t)) for b in abn
-                for t in np.nonzero((mask[b] > 0) & (np.asarray(pseudo[b]) > 0.5))[0]]
-    if not positive:
-        positive = list(anchor)
+    anchor = (np.concatenate(videos), np.concatenate(times))
+    positive = np.nonzero(valid & (labels > 0.5)[:, None]
+                          & (np.asarray(pseudo) > 0.5))
+    if len(positive[0]) == 0:
+        positive = anchor
 
     return TripletSelection(
         anchor, positive, negative,

@@ -252,6 +252,67 @@ class TestAvgPoolTapBytes:
         assert not np.signbit(ref).any()  # numpy sums from +0.0
 
 
+def batch_norm1d_reference(x, gamma, beta, state, train):
+    """Reference: batch norm with numpy's x.mean/x.var statistics."""
+    B, C, T = x.shape
+    if train:
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        state.running_mean[...] = (state.momentum * state.running_mean
+                                   + (1.0 - state.momentum) * mean)
+        state.running_var[...] = (state.momentum * state.running_var
+                                  + (1.0 - state.momentum) * var)
+    else:
+        mean = state.running_mean
+        var = state.running_var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    return out, (xhat, inv_std, gamma, B * T, train)
+
+
+def batch_norm1d_backward_reference(g, cache):
+    xhat, inv_std, gamma, n, train = cache
+    dgamma = (g * xhat).sum(axis=(0, 2))
+    dbeta = g.sum(axis=(0, 2))
+    dxhat = g * gamma[None, :, None]
+    if train:
+        s1 = dxhat.sum(axis=(0, 2), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
+        dx = inv_std[None, :, None] * (dxhat - s1 / n - xhat * s2 / n)
+    else:
+        dx = dxhat * inv_std[None, :, None]
+    return dx, dgamma, dbeta
+
+
+class TestBatchNormBytes:
+    """batch_norm1d and its backward give the reference's bytes and layouts."""
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("x_layout", ["c", "cm"])
+    @pytest.mark.parametrize("g_layout", ["c", "cm"])
+    @pytest.mark.parametrize("shape", [(3, 5, 11), (1, 16, 9), (30, 16, 7),
+                                       (4, 8, 1)])
+    def test_matches_reference(self, train, x_layout, g_layout, shape):
+        rng = np.random.default_rng(list(shape))
+        C = shape[1]
+        x = wide_range(rng, shape, x_layout) + 3.0
+        gamma = rng.uniform(0.5, 1.5, C)
+        beta = rng.standard_normal(C)
+        stats = rng.standard_normal(C), rng.uniform(0.5, 2.0, C)
+        got_state = kernel.BatchNormState(stats[0].copy(), stats[1].copy())
+        ref_state = kernel.BatchNormState(stats[0].copy(), stats[1].copy())
+        out, cache = kernel.batch_norm1d(x, gamma, beta, got_state, train)
+        ref, ref_cache = batch_norm1d_reference(x, gamma, beta, ref_state, train)
+        assert_same_array(out, ref)
+        assert_same_array(got_state.running_mean, ref_state.running_mean)
+        assert_same_array(got_state.running_var, ref_state.running_var)
+        g = wide_range(rng, shape, g_layout)
+        for got, want in zip(kernel.batch_norm1d_backward(g, cache),
+                             batch_norm1d_backward_reference(g, ref_cache)):
+            assert_same_array(got, want)
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         out, _ = kernel.global_avg_pool(np.full((2, 3, 5), 1.25))

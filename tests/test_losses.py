@@ -236,6 +236,81 @@ class TestBuildTriplet:
         np.testing.assert_allclose(d[0, 0, :], [0.5, 0.5])
 
 
+def mean_embedding_loop(embeddings, frames):
+    """Reference: a running sum over the (video, frame) list."""
+    acc = np.zeros(embeddings.shape[1])
+    for b, t in frames:
+        acc += embeddings[b, :, t]
+    return acc / len(frames)
+
+
+def scatter_grads_loop(sel, d_fa, d_fp, d_fn, d_embeddings):
+    """Reference: one += per listed frame, sets in anchor/positive/negative order."""
+    for frames, d in ((sel.anchor_frames, d_fa), (sel.positive_frames, d_fp),
+                      (sel.negative_frames, d_fn)):
+        w = 1.0 / len(frames)
+        for b, t in frames:
+            d_embeddings[b, :, t] += w * d
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTripletArrayForm:
+    """Array-form means and scatters give the frame loops' bytes."""
+
+    def _check(self, emb, scores, pseudo, labels, mask, fraction=0.5, seed=0):
+        sel = L.build_triplet(emb, scores, pseudo, labels, mask, fraction)
+        assert sel is not None
+        for got, frames in ((sel.f_a, sel.anchor_frames),
+                            (sel.f_p, sel.positive_frames),
+                            (sel.f_n, sel.negative_frames)):
+            assert len(set(frames)) == len(frames)
+            assert_same_bytes(got, mean_embedding_loop(emb, frames))
+        r = rng(seed)
+        grads = [r.standard_normal(emb.shape[1]) * np.exp(3.0 * r.standard_normal(emb.shape[1]))
+                 for _ in range(3)]
+        # a non-zero start makes the order of the sets' additions show
+        got = r.standard_normal(emb.shape)
+        want = got.copy()
+        sel.scatter_grads(*grads, got)
+        scatter_grads_loop(sel, *grads, want)
+        assert_same_bytes(got, want)
+        return sel
+
+    def test_overlapping_anchor_and_positive(self):
+        r = rng(7)
+        B, C, T = 6, 5, 20
+        emb = r.standard_normal((B, C, T)) * np.exp(3.0 * r.standard_normal((B, C, T)))
+        scores = r.random((B, T))
+        pseudo = (r.random((B, T)) > 0.4).astype(np.float64)
+        mask = np.ones((B, T))
+        mask[1, 13:] = 0.0
+        mask[4, 5:] = 0.0
+        labels = np.asarray([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        sel = self._check(emb, scores, pseudo, labels, mask)
+        assert set(sel.anchor_frames) & set(sel.positive_frames)
+        assert len(sel.negative_frames) > 8
+
+    def test_one_frame_sets(self):
+        r = rng(8)
+        emb = r.standard_normal((2, 3, 4))
+        mask = np.asarray([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        sel = self._check(emb, r.random((2, 4)), np.zeros((2, 4)),
+                          np.asarray([1.0, 0.0]), mask)
+        assert sel.anchor_frames == [(0, 0)] and sel.negative_frames == [(1, 2)]
+
+    def test_negative_zero_rows(self):
+        emb = np.full((3, 4, 5), -0.0)
+        scores = rng(9).random((3, 5))
+        pseudo = np.zeros((3, 5))
+        pseudo[0, 1] = 1.0
+        sel = self._check(emb, scores, pseudo, np.asarray([1.0, 0.0, 1.0]),
+                          np.ones((3, 5)))
+        assert not np.signbit(sel.f_n).any()  # a running sum starts at +0.0
+
+
 class TestTotalLoss:
     def test_unit_variance_identity(self):
         w = UncertaintyWeights()
