@@ -236,10 +236,14 @@ def load_dataset(in_dir):
                     f"{where}: a row must be an object with string 'id' "
                     "and 'label' and a list of strings 'feature_files'")
             crops = [read_feature_file(in_dir / rel) for rel in row["feature_files"]]
-            records.append(VideoRecord(
-                id=row["id"], crops=crops, label=row["label"],
-                frame_gt=_numbers(row, "frame_gt", where),
-                pseudo_probs=_numbers(row, "pseudo_probs", where)))
+            frame_gt = _numbers(row, "frame_gt", where)
+            pseudo_probs = _numbers(row, "pseudo_probs", where)
+            try:
+                records.append(VideoRecord(id=row["id"], crops=crops,
+                                           label=row["label"], frame_gt=frame_gt,
+                                           pseudo_probs=pseudo_probs))
+            except ConfigError as exc:  # a row the record rejects is malformed
+                raise FeatureFileError(f"{where}: {exc}") from exc
     return records
 
 

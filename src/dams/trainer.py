@@ -199,7 +199,7 @@ def _restore_state(arrays, state, prefix=""):
     for name, dst in state.items():
         src = arrays.get(prefix + name)
         if src is None:
-            raise ConfigError(f"checkpoint is missing array {prefix + name!r}")
+            raise FeatureFileError(f"checkpoint is missing array {prefix + name!r}")
         if src.shape != dst.shape:
             raise FeatureFileError(f"checkpoint array {prefix + name!r} has shape "
                                    f"{src.shape}, expected {dst.shape}")

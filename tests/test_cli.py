@@ -10,7 +10,7 @@ import pytest
 from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
 from dams.data import load_dataset
-from dams.trainer import save_checkpoint
+from dams.trainer import load_checkpoint, save_checkpoint
 
 SMALL_MODEL_JSON = {
     "model": {"input_dim": 6, "channels": 8, "depth": 1, "head_hidden": 4,
@@ -161,12 +161,35 @@ class TestEvalScorePlot:
         code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(bare)])
         assert code == EXIT_FORMAT
 
+    def test_checkpoint_missing_best_array_exit_code(self, tmp_path, dataset,
+                                                     trained):
+        arrays, meta = load_checkpoint(trained / "checkpoint_final.ckpt")
+        best = {k: v for k, v in arrays.items() if k.startswith("best/")}
+        del best[sorted(best)[0]]
+        partial = tmp_path / "partial.ckpt"
+        save_checkpoint(partial, best, meta)
+        code = main(["eval", "--dataset", str(dataset),
+                     "--checkpoint", str(partial)])
+        assert code == EXIT_FORMAT
+
     def test_malformed_manifest_exit_code(self, tmp_path, dataset, trained):
         manifest = dataset / "manifest.jsonl"
         manifest.write_text(manifest.read_text() + '{"id": "ghost"}\n')
         code = main(["eval", "--dataset", str(dataset),
                      "--checkpoint", str(trained / "checkpoint_final.ckpt")])
         assert code == EXIT_FORMAT
+
+    def test_short_frame_gt_exit_code_names_line(self, tmp_path, dataset,
+                                                 trained, capsys):
+        manifest = dataset / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        rows[2]["frame_gt"] = rows[2]["frame_gt"][:-1]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        code = main(["eval", "--dataset", str(dataset),
+                     "--checkpoint", str(trained / "checkpoint_final.ckpt")])
+        assert code == EXIT_FORMAT
+        assert f"{manifest}:3: " in capsys.readouterr().err
 
     def test_plot_valid_svg(self, tmp_path, dataset, trained):
         scores = tmp_path / "scores.csv"

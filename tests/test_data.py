@@ -436,6 +436,20 @@ class TestManifestRows:
                            match=re.escape(f"{manifest}:2: {key!r}")):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("row", [
+        dict(GOOD, frame_gt=[0, 1, 0]),          # T is 4
+        dict(GOOD, pseudo_probs=[0.5] * 5),
+        dict(GOOD, label="weird"),
+        dict(GOOD, feature_files=[]),
+        dict(GOOD, feature_files=["video0000_crop0.feat", "short.feat"]),
+    ])
+    def test_record_fault_is_a_format_error_with_line(self, tmp_path, row):
+        manifest = self._dataset(tmp_path)
+        write_feature_file(tmp_path / "short.feat", np.zeros((2, 3)))
+        manifest.write_text(manifest.read_text() + json.dumps(row) + "\n")
+        with pytest.raises(FeatureFileError, match=re.escape(f"{manifest}:2: ")):
+            load_dataset(tmp_path)
+
     def test_invalid_utf8_is_a_format_error_with_line(self, tmp_path):
         manifest = self._dataset(tmp_path)
         manifest.write_bytes(manifest.read_bytes() + b"\xff\xfe\n")

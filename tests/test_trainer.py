@@ -270,7 +270,7 @@ class TestTraining:
         missing = sorted(best)[0]
         del best[missing]
         save_checkpoint(tmp_path / "missing.ckpt", best, meta)
-        with pytest.raises(ConfigError, match=re.escape(repr(missing))):
+        with pytest.raises(FeatureFileError, match=re.escape(repr(missing))):
             load_model_for_inference(tmp_path / "missing.ckpt")
 
     def test_resume_missing_best_array_names_it(self, tmp_path):
@@ -281,7 +281,7 @@ class TestTraining:
         missing = sorted(k for k in arrays if k.startswith("best/"))[0]
         del arrays[missing]
         save_checkpoint(tmp_path / "nobest.ckpt", arrays, meta)
-        with pytest.raises(ConfigError, match=re.escape(repr(missing))):
+        with pytest.raises(FeatureFileError, match=re.escape(repr(missing))):
             train(cfg, records, resume=tmp_path / "nobest.ckpt")
 
     @pytest.mark.parametrize("key", ["adam_t", "iteration", "best_auc",
