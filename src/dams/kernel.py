@@ -369,8 +369,12 @@ def batch_norm1d(x, gamma, beta, state, train):
         raise DegenerateBatchError(f"batch_norm1d: B*T = {n} < 2")
     mean = x.sum(axis=(0, 2), keepdims=True)
     mean /= n
+    # the squares' buffer is taken before xhat, so the output later reuses
+    # its freed block; allocated after, it left the heap ~3 MB larger
+    sq = np.empty_like(x)
     xhat = x - mean
-    var = (xhat * xhat).sum(axis=(0, 2), keepdims=True)
+    var = np.multiply(xhat, xhat, out=sq).sum(axis=(0, 2), keepdims=True)
+    del sq
     var /= n
     state.running_mean[...] = (state.momentum * state.running_mean
                                + (1.0 - state.momentum) * mean.reshape(C))

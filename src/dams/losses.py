@@ -214,12 +214,12 @@ def build_triplet(embeddings, frame_scores, pseudo, video_labels, mask,
         top = topk_indices(masked, topk_count(valid, topk_fraction))
         videos.append(np.full(len(top), b))
         times.append(top)
-    valid = mask > 0
-    negative = np.nonzero(valid & normal[:, None])
+    present = mask > 0
+    negative = np.nonzero(present & normal[:, None])
     if not videos or len(negative[0]) == 0:
         return None
     anchor = (np.concatenate(videos), np.concatenate(times))
-    positive = np.nonzero(valid & (labels > 0.5)[:, None]
+    positive = np.nonzero(present & (labels > 0.5)[:, None]
                           & (np.asarray(pseudo) > 0.5))
     if len(positive[0]) == 0:
         positive = anchor
