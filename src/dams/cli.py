@@ -4,7 +4,7 @@ Exit codes (machine-readable error categories):
     0  success
     2  configuration error (bad config file, bad flag combination)
     3  missing input path
-    4  file-format error (feature files, checkpoints, manifests)
+    4  file-format error (feature files, checkpoints, manifests, score CSVs)
     5  numeric failure (non-finite loss, failed gradient check, undefined metric)
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -141,9 +142,10 @@ def _write_score_csv(path, records, video_scores):
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame", "score", "gt"])
         for rec, scores in zip(records, video_scores, strict=True):
-            for t, s in enumerate(scores):
-                gt = "" if rec.frame_gt is None else int(rec.frame_gt[t])
-                writer.writerow([rec.id, t, f"{s:.10f}", gt])
+            gts = ([""] * len(scores) if rec.frame_gt is None
+                   else rec.frame_gt.astype(np.int64).tolist())
+            writer.writerows([rec.id, t, f"{s:.10f}", gt]
+                             for t, (s, gt) in enumerate(zip(scores, gts)))
 
 
 def cmd_score(args):
@@ -155,14 +157,35 @@ def cmd_score(args):
     return EXIT_OK
 
 
-def cmd_plot(args):
+def _read_score_csv(path):
+    """{video id: {"scores", "gt"}} from a score CSV; a malformed file raises
+    `FeatureFileError` naming `path:LINE`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise FeatureFileError(f"{path}:{line}: not UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     rows = {}
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            vid = row["video_id"]
-            entry = rows.setdefault(vid, {"scores": [], "gt": []})
+    try:
+        columns = reader.fieldnames
+        if columns is not None and not {"video_id", "score", "gt"} <= set(columns):
+            raise ValueError("needs the columns video_id, score and gt")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{len(columns)} columns expected")
+            entry = rows.setdefault(row["video_id"], {"scores": [], "gt": []})
             entry["scores"].append(float(row["score"]))
             entry["gt"].append(int(row["gt"]) if row["gt"] != "" else 0)
+    except (ValueError, csv.Error) as exc:
+        raise FeatureFileError(f"{path}:{reader.line_num}: {exc}") from exc
+    return rows
+
+
+def cmd_plot(args):
+    rows = _read_score_csv(args.scores)
     if not rows:
         raise ConfigError(f"{args.scores}: no score rows")
     if args.video is not None:

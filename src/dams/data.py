@@ -164,6 +164,10 @@ class VideoRecord:
                           ("pseudo_probs", self.pseudo_probs)):
             if arr is not None and len(arr) != t:
                 raise ConfigError(f"{self.id}: {name} length {len(arr)} != T {t}")
+        if self.frame_gt is not None:
+            gt = np.asarray(self.frame_gt)
+            if not ((gt == 0) | (gt == 1)).all():
+                raise ConfigError(f"{self.id}: frame_gt values must be 0 or 1")
 
     @property
     def is_anomalous(self):
@@ -190,9 +194,9 @@ def save_dataset(records, out_dir):
                 paths.append(rel)
             row = {"id": rec.id, "feature_files": paths, "label": rec.label}
             if rec.frame_gt is not None:
-                row["frame_gt"] = [int(v) for v in rec.frame_gt]
+                row["frame_gt"] = rec.frame_gt.astype(np.int64).tolist()
             if rec.pseudo_probs is not None:
-                row["pseudo_probs"] = [float(v) for v in rec.pseudo_probs]
+                row["pseudo_probs"] = rec.pseudo_probs.tolist()
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -278,6 +282,8 @@ class SyntheticSpec:
             raise ConfigError("snr must be >= 0")
         if not self.anomaly_durations:
             raise ConfigError("need at least one anomaly duration")
+        if not self.smoothing < 1.0:  # NaN fails too; <= 0 means white noise
+            raise ConfigError("smoothing must be < 1")
 
 
 def anomaly_directions(spec: SyntheticSpec):
@@ -287,17 +293,51 @@ def anomaly_directions(spec: SyntheticSpec):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _background(rng, dim, t, smoothing):
-    """AR(1)-smoothed Gaussian process, stationary unit marginal variance."""
-    white = rng.standard_normal((dim, t))
-    if smoothing <= 0:
-        return white
-    out = np.empty_like(white)
-    scale = math.sqrt(1.0 - smoothing ** 2)
-    out[:, 0] = white[:, 0]
-    for i in range(1, t):
-        out[:, i] = smoothing * out[:, i - 1] + scale * white[:, i]
-    return out
+_GROUP_FLOATS = 1 << 18   # 2 MB of float64 per time-stepping buffer
+
+
+def _backgrounds(spec: SyntheticSpec):
+    """(video index, its generator, its background [Din, T]) in video order.
+
+    Each background is an AR(1)-smoothed Gaussian process with stationary
+    unit marginal variance: out[0] = white[0] and, for i >= 1,
+    out[i] = smoothing * out[i-1] + sqrt(1 - smoothing**2) * white[i];
+    smoothing <= 0 returns the white draws unchanged.
+
+    Video v owns the generator (seed, 0xA0, v) and draws T, then
+    white = standard_normal((Din, T)); the caller then draws the rest of the
+    video from the same generator. Videos never share a generator, so a
+    group's white draws may all come before any of their other draws.
+
+    Groups of videos are stepped through time together in one time-major
+    buffer [T, videos, Din]. A group holds as many videos as keep that
+    buffer at or under 2**18 floats (2 MB) at T = spec.t_max, and at least
+    one. Each step multiplies in place and then adds, which swaps the
+    addition's operands and so keeps every byte of the per-video loop.
+    """
+    dim = spec.input_dim
+    group = max(1, _GROUP_FLOATS // (spec.t_max * dim))
+    for first in range(0, spec.num_videos, group):
+        videos = range(first, min(first + group, spec.num_videos))
+        rngs = [np.random.default_rng([spec.seed, 0xA0, v]) for v in videos]
+        whites = []
+        for rng in rngs:
+            t = int(rng.integers(spec.t_min, spec.t_max + 1))
+            whites.append(rng.standard_normal((dim, t)))
+        if spec.smoothing <= 0:
+            yield from zip(videos, rngs, whites)
+            continue
+        lengths = [w.shape[1] for w in whites]
+        steps = np.zeros((max(lengths), len(whites), dim))
+        for v, (white, t) in enumerate(zip(whites, lengths)):
+            steps[:t, v] = white.T
+        scale = math.sqrt(1.0 - spec.smoothing ** 2)
+        for i in range(1, len(steps)):
+            steps[i] *= scale
+            steps[i] += spec.smoothing * steps[i - 1]
+        for v, (video, rng) in enumerate(zip(videos, rngs)):
+            # a C-order copy: one-frame videos keep the strides (8, 8)
+            yield video, rng, steps[:lengths[v], v].T.copy()
 
 
 def synthesize_dataset(spec: SyntheticSpec):
@@ -311,10 +351,8 @@ def synthesize_dataset(spec: SyntheticSpec):
     dirs = anomaly_directions(spec)
     n_abn = round(spec.num_videos * spec.anomaly_fraction)
     records = []
-    for v in range(spec.num_videos):
-        rng = np.random.default_rng([spec.seed, 0xA0, v])
-        t = int(rng.integers(spec.t_min, spec.t_max + 1))
-        base = _background(rng, spec.input_dim, t, spec.smoothing)
+    for v, rng, base in _backgrounds(spec):
+        t = base.shape[1]
         gt = np.zeros(t)
         anomalous = v < n_abn
         if anomalous:

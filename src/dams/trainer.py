@@ -313,9 +313,9 @@ def evaluate(model: DamsModel, records, ablation=None) -> EvalReport:
     all_gt = []
     for rec in records:
         scores = score_video(model, rec)
-        row = {"id": rec.id, "scores": [float(s) for s in scores]}
+        row = {"id": rec.id, "scores": scores.tolist()}
         if rec.frame_gt is not None:
-            row["gt"] = [int(v) for v in rec.frame_gt]
+            row["gt"] = rec.frame_gt.astype(np.int64).tolist()
             all_scores.append(scores)
             all_gt.append(rec.frame_gt)
         per_video.append(row)

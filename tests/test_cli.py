@@ -5,12 +5,15 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
 from dams.data import load_dataset
-from dams.trainer import load_checkpoint, save_checkpoint
+from dams.metrics import average_precision, roc_auc
+from dams.trainer import (EvalReport, load_checkpoint, load_model_for_inference,
+                          save_checkpoint, score_video)
 
 SMALL_MODEL_JSON = {
     "model": {"input_dim": 6, "channels": 8, "depth": 1, "head_hidden": 4,
@@ -98,7 +101,56 @@ class TestTrain:
         assert meta["config"]["model"]["use_amtpn"] is False
 
 
+def evaluate_reference(model, records):
+    """`evaluate` with its per-element row conversions."""
+    per_video, all_scores, all_gt = [], [], []
+    for rec in records:
+        scores = score_video(model, rec)
+        row = {"id": rec.id, "scores": [float(s) for s in scores]}
+        if rec.frame_gt is not None:
+            row["gt"] = [int(v) for v in rec.frame_gt]
+            all_scores.append(scores)
+            all_gt.append(rec.frame_gt)
+        per_video.append(row)
+    scores, gt = np.concatenate(all_scores), np.concatenate(all_gt)
+    return EvalReport(roc_auc(scores, gt), average_precision(scores, gt), per_video)
+
+
+def write_score_csv_reference(path, records, video_scores):
+    """The score CSV written one `writerow` per frame."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["video_id", "frame", "score", "gt"])
+        for rec, scores in zip(records, video_scores, strict=True):
+            for t, s in enumerate(scores):
+                gt = "" if rec.frame_gt is None else int(rec.frame_gt[t])
+                writer.writerow([rec.id, t, f"{s:.10f}", gt])
+
+
 class TestEvalScorePlot:
+    def test_report_and_csv_bytes_match_per_element_writers(self, tmp_path,
+                                                             dataset, trained):
+        manifest = dataset / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        del rows[1]["frame_gt"]  # one video without ground truth
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ckpt = trained / "checkpoint_final.ckpt"
+        report, scores = tmp_path / "report.json", tmp_path / "scores.csv"
+        assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                     "--out", str(report), "--csv", str(scores)]) == EXIT_OK
+        records = load_dataset(dataset)
+        model, _, _ = load_model_for_inference(ckpt)
+        want = evaluate_reference(model, records)
+        assert report.read_text() == json.dumps(want.to_dict(), sort_keys=True) + "\n"
+        write_score_csv_reference(tmp_path / "want.csv", records,
+                                  [row["scores"] for row in want.per_video])
+        assert scores.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert main(["score", "--dataset", str(dataset), "--checkpoint", str(ckpt),
+                     "--out", str(scores)]) == EXIT_OK
+        write_score_csv_reference(tmp_path / "want.csv", records,
+                                  [score_video(model, rec) for rec in records])
+        assert scores.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_eval_report(self, tmp_path, dataset, trained):
         report = tmp_path / "report.json"
         code = main(["eval", "--dataset", str(dataset),
@@ -190,6 +242,39 @@ class TestEvalScorePlot:
                      "--checkpoint", str(trained / "checkpoint_final.ckpt")])
         assert code == EXIT_FORMAT
         assert f"{manifest}:3: " in capsys.readouterr().err
+
+    def test_non_binary_frame_gt_exit_code_names_line(self, tmp_path, dataset,
+                                                      trained, capsys):
+        manifest = dataset / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        rows[4]["frame_gt"][0] = float("nan")
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        code = main(["eval", "--dataset", str(dataset),
+                     "--checkpoint", str(trained / "checkpoint_final.ckpt")])
+        assert code == EXIT_FORMAT
+        assert f"{manifest}:5: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob, line", [
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,1\n", None),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,high,1\n", 3),
+        (b"video,frame,score,gt\nv,0,0.5,0\n", 1),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5\n", 3),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,x\n", 3),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv\xff,1,0.5,1\n", 3),
+    ], ids=["valid", "non-numeric-score", "no-video_id", "short-row",
+            "non-integer-gt", "not-utf8"])
+    def test_plot_bad_scores_csv_exit_code_names_line(self, tmp_path, capsys,
+                                                      blob, line):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(blob)
+        capsys.readouterr()
+        code = main(["plot", "--scores", str(scores), "--out", str(tmp_path / "p.svg")])
+        if line is None:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_FORMAT
+            assert f"{scores}:{line}: " in capsys.readouterr().err
 
     def test_plot_valid_svg(self, tmp_path, dataset, trained):
         scores = tmp_path / "scores.csv"

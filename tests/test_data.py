@@ -1,6 +1,7 @@
 """Feature files, manifests, the synthetic benchmark, and batching."""
 
 import json
+import math
 import re
 import struct
 import zlib
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from dams.amtpn import ConfigError
-from dams.data import (BadMagicError, BadVersionError, ChecksumError,
+from dams.data import (LABEL_ANOMALOUS, LABEL_NORMAL, MANIFEST_NAME,
+                       BadMagicError, BadVersionError, ChecksumError,
                        FeatureFileError, SyntheticSpec, TruncatedFileError,
                        VideoRecord, anomaly_directions, batch_iter,
                        load_dataset, read_feature_file, save_dataset,
@@ -106,7 +108,33 @@ class TestVideoRecord:
         assert rec.is_anomalous and rec.num_frames == 3 and rec.input_dim == 2
 
 
+def save_manifest_reference(records, out_dir):
+    """The manifest rows `save_dataset` wrote with per-element conversions."""
+    with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
+        for rec in records:
+            paths = [f"{rec.id}_crop{i}.feat" for i in range(len(rec.crops))]
+            row = {"id": rec.id, "feature_files": paths, "label": rec.label}
+            if rec.frame_gt is not None:
+                row["frame_gt"] = [int(v) for v in rec.frame_gt]
+            if rec.pseudo_probs is not None:
+                row["pseudo_probs"] = [float(v) for v in rec.pseudo_probs]
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 class TestDatasetRoundTrip:
+    def test_manifest_bytes_match_per_element_rows(self, tmp_path):
+        records = synthesize_dataset(SyntheticSpec(num_videos=6, t_min=1,
+                                                   t_max=9, input_dim=3,
+                                                   num_crops=2))
+        records[1].frame_gt = None
+        records[2].pseudo_probs = None
+        save_dataset(records, tmp_path / "new")
+        for recs, name in ((records, "old"), (load_dataset(tmp_path / "new"), "reloaded")):
+            (tmp_path / name).mkdir()
+            save_manifest_reference(recs, tmp_path / name)
+            assert ((tmp_path / name / MANIFEST_NAME).read_bytes()
+                    == (tmp_path / "new" / MANIFEST_NAME).read_bytes())
+
     def test_save_load(self, tmp_path):
         records = synthesize_dataset(SyntheticSpec(num_videos=6, t_min=4,
                                                    t_max=8, input_dim=5,
@@ -196,6 +224,86 @@ class TestSyntheticDataset:
             SyntheticSpec(t_min=10, t_max=5)
         with pytest.raises(ConfigError):
             SyntheticSpec(snr=-1.0)
+        for smoothing in (1.0, 1.5, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="smoothing"):
+                SyntheticSpec(smoothing=smoothing)
+        for smoothing in (0.0, -0.5, 0.999):  # <= 0 is white noise
+            SyntheticSpec(smoothing=smoothing)
+
+
+def background_reference(rng, dim, t, smoothing):
+    """The per-video AR(1) loop over frames that `_backgrounds` replaced."""
+    white = rng.standard_normal((dim, t))
+    if smoothing <= 0:
+        return white
+    out = np.empty_like(white)
+    scale = math.sqrt(1.0 - smoothing ** 2)
+    out[:, 0] = white[:, 0]
+    for i in range(1, t):
+        out[:, i] = smoothing * out[:, i - 1] + scale * white[:, i]
+    return out
+
+
+def synthesize_reference(spec):
+    """`synthesize_dataset` as one video at a time, each with its own loop."""
+    dirs = anomaly_directions(spec)
+    n_abn = round(spec.num_videos * spec.anomaly_fraction)
+    records = []
+    for v in range(spec.num_videos):
+        rng = np.random.default_rng([spec.seed, 0xA0, v])
+        t = int(rng.integers(spec.t_min, spec.t_max + 1))
+        base = background_reference(rng, spec.input_dim, t, spec.smoothing)
+        gt = np.zeros(t)
+        anomalous = v < n_abn
+        if anomalous:
+            for _ in range(int(rng.integers(1, 4))):
+                cls = int(rng.integers(len(spec.anomaly_durations)))
+                dur = min(spec.anomaly_durations[cls], t)
+                start = int(rng.integers(0, t - dur + 1))
+                base[:, start:start + dur] += spec.snr * dirs[cls][:, None]
+                gt[start:start + dur] = 1.0
+        flip = rng.random(t) < spec.label_noise
+        noisy = np.where(flip, 1.0 - gt, gt)
+        pseudo = np.where(noisy > 0.5,
+                          rng.uniform(0.55, 0.95, t),
+                          rng.uniform(0.05, 0.45, t))
+        crops = [base]
+        for _ in range(spec.num_crops - 1):
+            crops.append(base + 0.1 * rng.standard_normal(base.shape))
+        records.append(VideoRecord(
+            id=f"video{v:04d}", crops=crops,
+            label=LABEL_ANOMALOUS if anomalous else LABEL_NORMAL,
+            frame_gt=gt, pseudo_probs=pseudo))
+    return records
+
+
+class TestSynthesisBytes:
+    """Grouped time-stepping gives the per-video loop's bytes and strides."""
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(num_videos=1),
+        SyntheticSpec(num_videos=31, seed=1),         # one short group of 32
+        SyntheticSpec(num_videos=33, seed=2),         # a one-video last group
+        SyntheticSpec(num_videos=70, seed=3),         # 32 + 32 + 6
+        SyntheticSpec(num_videos=5, input_dim=1024, seed=4),  # groups of 2
+        SyntheticSpec(num_videos=40, t_min=1, t_max=3, input_dim=5, seed=5),
+        SyntheticSpec(num_videos=12, t_min=37, t_max=37, seed=6),
+        SyntheticSpec(num_videos=9, smoothing=0.0, seed=7),
+        SyntheticSpec(num_videos=9, smoothing=-0.5, seed=8),
+        SyntheticSpec(num_videos=10, num_crops=10, seed=9),
+    ], ids=["1", "31", "33", "70", "dim1024", "t_min1", "t_fixed",
+            "smoothing0", "smoothing_neg", "tencrop"])
+    def test_matches_per_video_loop(self, spec):
+        got = synthesize_dataset(spec)
+        want = synthesize_reference(spec)
+        assert [(r.id, r.label) for r in got] == [(r.id, r.label) for r in want]
+        for a, b in zip(got, want):
+            assert a.frame_gt.tobytes() == b.frame_gt.tobytes()
+            assert a.pseudo_probs.tobytes() == b.pseudo_probs.tobytes()
+            assert len(a.crops) == len(b.crops)
+            for ca, cb in zip(a.crops, b.crops):
+                assert ca.shape == cb.shape and ca.strides == cb.strides
+                assert ca.tobytes() == cb.tobytes()
 
 
 class TestBatching:
@@ -442,6 +550,10 @@ class TestManifestRows:
         dict(GOOD, label="weird"),
         dict(GOOD, feature_files=[]),
         dict(GOOD, feature_files=["video0000_crop0.feat", "short.feat"]),
+        dict(GOOD, frame_gt=[0, float("nan"), 1, 0]),   # frame_gt not 0/1
+        dict(GOOD, frame_gt=[0, 2, 1, 0]),
+        dict(GOOD, frame_gt=[0, -1, 1, 0]),
+        dict(GOOD, frame_gt=[0, 0.5, 1, 0]),
     ])
     def test_record_fault_is_a_format_error_with_line(self, tmp_path, row):
         manifest = self._dataset(tmp_path)
