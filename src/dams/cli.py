@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -111,6 +112,9 @@ def cmd_synth(args):
 def cmd_train(args):
     records = load_dataset(args.dataset)
     cfg = _load_train_config(args, records)
+    if cfg.model.input_dim != records[0].input_dim:
+        raise ConfigError(f"model.input_dim {cfg.model.input_dim} differs from "
+                          f"the dataset's feature dimension {records[0].input_dim}")
     train_recs, val_recs = _split_train_val(records, args.val_fraction)
     result = train(cfg, train_recs, val_recs or None, out_dir=args.out,
                    resume=args.resume)
@@ -176,9 +180,15 @@ def _read_score_csv(path):
         for row in reader:
             if None in row.values():
                 raise ValueError(f"{len(columns)} columns expected")
+            score = float(row["score"])
+            if not math.isfinite(score):
+                raise ValueError(f"score {row['score']!r} is not finite")
+            gt = int(row["gt"]) if row["gt"] != "" else 0
+            if gt not in (0, 1):
+                raise ValueError(f"gt {row['gt']!r} is not 0 or 1")
             entry = rows.setdefault(row["video_id"], {"scores": [], "gt": []})
-            entry["scores"].append(float(row["score"]))
-            entry["gt"].append(int(row["gt"]) if row["gt"] != "" else 0)
+            entry["scores"].append(score)
+            entry["gt"].append(gt)
     except (ValueError, csv.Error) as exc:
         raise FeatureFileError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows

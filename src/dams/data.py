@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import struct
 import zlib
 from pathlib import Path
@@ -282,6 +283,10 @@ class SyntheticSpec:
             raise ConfigError("snr must be >= 0")
         if not self.anomaly_durations:
             raise ConfigError("need at least one anomaly duration")
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                   and d >= 1 for d in self.anomaly_durations):
+            raise ConfigError(f"anomaly durations must be integers >= 1, "
+                              f"got {self.anomaly_durations!r}")
         if not self.smoothing < 1.0:  # NaN fails too; <= 0 means white noise
             raise ConfigError("smoothing must be < 1")
 

@@ -132,13 +132,17 @@ def conv1d(x, w, b, padding=0):
     return out.reshape(cout, B, To).transpose(1, 0, 2), (xp, w, padding, T)
 
 
-def conv1d_backward(g, cache):
+def conv1d_backward(g, cache, need_dx=True):
+    """(dx, dw, db) of `conv1d`; with `need_dx` false the input gradient is
+    not computed and dx is None."""
     xp, w, padding, T = cache
     cout, cin, K = w.shape
     B, _, To = g.shape
     dw = np.matmul(_im2col(xp, K, To), g.transpose(0, 2, 1).reshape(B * To, cout))
     dw = dw.reshape(cin, K, cout).transpose(2, 0, 1)
     db = g.sum(axis=(0, 2))
+    if not need_dx:
+        return None, dw, db
     g_cols = g.transpose(1, 0, 2).reshape(cout, B * To)
     dxp = np.zeros_like(xp)
     for k in range(K):

@@ -58,8 +58,8 @@ class Conv1d(Layer):
         return self._record(train, *kernel.conv1d(x, self.w.value, self.b.value,
                                                   self.padding))
 
-    def backward(self, g):
-        dx, dw, db = kernel.conv1d_backward(g, self._caches.pop())
+    def backward(self, g, need_dx=True):
+        dx, dw, db = kernel.conv1d_backward(g, self._caches.pop(), need_dx)
         self.w.grad += dw
         self.b.grad += db
         return dx

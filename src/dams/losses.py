@@ -106,6 +106,23 @@ def topk_indices(values, k):
     return order[:k]
 
 
+def topk_rows(values, mask, fraction):
+    """Per row of `values` [B, T], the indices of its topk_count(valid,
+    fraction) largest frames, `valid` being the row's mask sum; masked frames
+    rank last and ties go to the earlier frame.
+
+    One lexsort over the whole matrix gives each row the order that
+    `topk_indices` gives it with its masked frames set to -inf.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    mask = np.asarray(mask)
+    masked = np.where(mask > 0, values, -np.inf)
+    t = np.broadcast_to(np.arange(values.shape[-1]), values.shape)
+    order = np.lexsort((t, -masked), axis=-1)
+    return [row[:topk_count(int(valid), fraction)]
+            for row, valid in zip(order, mask.sum(axis=-1))]
+
+
 def topk_video_score(frame_scores, fraction):
     """Mean of the ceil(fraction * T) largest frame scores."""
     values = np.asarray(frame_scores, dtype=np.float64)
@@ -206,14 +223,10 @@ def build_triplet(embeddings, frame_scores, pseudo, video_labels, mask,
         return None
 
     videos, times = [], []
-    for b in abn:
-        valid = int(mask[b].sum())
-        if valid < 1:
-            continue
-        masked = np.where(mask[b] > 0, frame_scores[b], -np.inf)
-        top = topk_indices(masked, topk_count(valid, topk_fraction))
-        videos.append(np.full(len(top), b))
-        times.append(top)
+    for b, top in zip(abn, topk_rows(frame_scores[abn], mask[abn], topk_fraction)):
+        if mask[b].sum() >= 1:
+            videos.append(np.full(len(top), b))
+            times.append(top)
     present = mask > 0
     negative = np.nonzero(present & normal[:, None])
     if not videos or len(negative[0]) == 0:

@@ -103,10 +103,10 @@ class Backbone(Layer):
             h = h + act.forward(bn.forward(conv.forward(h, train), train), train)
         return h
 
-    def backward(self, g):
+    def backward(self, g, need_dx=True):
         for conv, bn, act in reversed(self.blocks):
             g = g + conv.backward(bn.backward(act.backward(g)))
-        return self.proj.backward(g)
+        return self.proj.backward(g, need_dx)
 
     def params(self):
         out = self.proj.params()
@@ -178,7 +178,10 @@ class DamsModel(Layer):
         return ForwardOutput(logits, scores, embeddings, weights)
 
     def backward(self, g_logits, g_embeddings=None):
-        """Propagate loss gradients; returns the gradient w.r.t. the input."""
+        """Accumulate every parameter's gradient from the loss gradients;
+        returns None. The input gradient is not computed: the features are
+        data, and the projection's dx gemms would be thrown away (the module
+        gradchecks difference the input through `Backbone.backward`)."""
         g = self.head.backward(g_logits)
         drop_mask = self._caches.pop()
         if drop_mask is not None:
@@ -189,7 +192,7 @@ class DamsModel(Layer):
             g = self.cbam.backward(g)
         if self.amtpn is not None:
             g = self.amtpn.backward(g)
-        return self.backbone.backward(g)
+        self.backbone.backward(g, need_dx=False)
 
     def params(self):
         out = self.backbone.params()

@@ -8,19 +8,22 @@ checkpoint at iteration i replays the exact byte-identical run.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
+import os
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import kernel
 from . import losses as L
-from .amtpn import ConfigError, PyramidConfig
-from .cbam import CbamConfig
+from .amtpn import ConfigError
 from .data import (Batch, FeatureFileError, batch_iter, read_container,
                    tencrop_aggregate, write_container)
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
@@ -73,35 +76,45 @@ class TrainConfig:
             object.__setattr__(self, "model", ModelConfig())
 
 
-_NESTED = {
-    (TrainConfig, "loss"): LossConfig,
-    (TrainConfig, "model"): ModelConfig,
-    (ModelConfig, "pyramid"): PyramidConfig,
-    (ModelConfig, "cbam"): CbamConfig,
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# annotation -> (what a value must be, its test); a float field takes an int
+_FIELD_TYPES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    tuple: ("a list of integers",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
 }
-_TUPLE_FIELDS = {(PyramidConfig, "scales")}
 
 
 def config_from_dict(d, cls=TrainConfig, path="config"):
-    """Build a config dataclass from plain data; unknown keys are rejected."""
+    """Build a config dataclass from plain data. Unknown keys and values not
+    of their field's annotated type raise `ConfigError`; a nested config is
+    built from its object (None keeps the default)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(d) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for k, v in d.items():
-        sub = _NESTED.get((cls, k))
-        if sub is not None and v is not None:
-            v = config_from_dict(v, sub, f"{path}.{k}")
-        elif (cls, k) in _TUPLE_FIELDS:
-            v = tuple(v)
+        hint = hints[k]
+        if dataclasses.is_dataclass(hint):
+            if v is not None:
+                v = config_from_dict(v, hint, f"{path}.{k}")
+        else:
+            what, ok = _FIELD_TYPES[hint]
+            if not ok(v):
+                raise ConfigError(f"{path}.{k}: expected {what}, got {v!r}")
+            if hint is tuple:
+                v = tuple(v)
         kwargs[k] = v
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_to_dict(cfg):
@@ -236,15 +249,9 @@ def train_step(model: DamsModel, weights: UncertaintyWeights, batch: Batch,
         l_pse, d_scores = L.focal_loss(out.frame_scores, pseudo, mask_pse, cfg.loss)
 
     # video-level top-k classification on logits, sigmoid applied once after
-    n = batch.features.shape[0]
-    video_logits = np.zeros(n)
-    topk_sets = []
-    for i in range(n):
-        valid = int(mask[i].sum())
-        masked = np.where(mask[i] > 0, out.frame_logits[i], -np.inf)
-        idx = L.topk_indices(masked, L.topk_count(valid, cfg.loss.topk_fraction))
-        topk_sets.append(idx)
-        video_logits[i] = out.frame_logits[i, idx].mean()
+    topk_sets = L.topk_rows(out.frame_logits, mask, cfg.loss.topk_fraction)
+    video_logits = np.array([out.frame_logits[i, idx].mean()
+                             for i, idx in enumerate(topk_sets)])
     l_cls, d_vlogits = L.video_cls_loss(video_logits, batch.labels)
 
     # triplet separation on penultimate embeddings
@@ -331,6 +338,37 @@ def evaluate(model: DamsModel, records, ablation=None) -> EvalReport:
 # training loop
 # ---------------------------------------------------------------------------
 
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_heap_mapped():
+    """On glibc, keep freed memory in the process heap for the next step.
+
+    Every training step allocates again the arrays the previous step freed.
+    By default glibc returns the free top of the heap to the system after a
+    step and serves blocks above its (dynamic) mmap threshold with fresh
+    mappings, so the next step takes a page fault on each page it touches
+    again. Heap trimming is turned off and blocks under 32 MiB (glibc's own
+    64-bit ceiling for the dynamic threshold) come from the heap. The
+    setting is process-wide and made once; resident memory then stays at
+    its high-water mark after training. Returns whether it was made: other
+    C libraries are left as they are.
+    """
+    if os.name != "posix":
+        return False
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(_M_TRIM_THRESHOLD, -1)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    return True
+
+
 @dataclasses.dataclass
 class TrainResult:
     model: DamsModel
@@ -353,7 +391,9 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     Every `validate_every` iterations the validation split is scored (eval
     mode; parameters and optimizer untouched) and the best-AUC state is
     retained. The returned history is the exact content of log.jsonl.
+    The first call in a process sets the heap policy of `_keep_heap_mapped`.
     """
+    _keep_heap_mapped()
     model, weights = build_model(cfg)
     params = model.params() + weights.params()
     opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2,

@@ -79,6 +79,33 @@ class TestTrain:
                      "--out", str(tmp_path / "r"), "--config", cfg])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model": dict(SMALL_MODEL_JSON["model"], input_dim=32)},
+         "model.input_dim 32 differs"),
+        ({"seed": 1.5}, "config.seed: expected an integer"),
+        ({"batch_size": True}, "config.batch_size: expected an integer"),
+        ({"learning_rate": "fast"}, "config.learning_rate: expected a number"),
+        ({"model": dict(SMALL_MODEL_JSON["model"], use_cbam="no")},
+         "config.model.use_cbam: expected a boolean"),
+        ({"model": dict(SMALL_MODEL_JSON["model"],
+                        pyramid={"scales": 3, "channels": 8})},
+         "config.model.pyramid.scales: expected a list of integers"),
+        ({"model": dict(SMALL_MODEL_JSON["model"],
+                        pyramid={"scales": [1, 2.5], "channels": 8})},
+         "config.model.pyramid.scales: expected a list of integers"),
+        ({"loss": [0.5]}, "config.loss: expected an object"),
+    ], ids=["input-dim", "float-seed", "bool-batch-size", "string-float",
+            "string-bool", "int-scales", "float-scale", "list-loss"])
+    def test_config_fault_exit_code(self, tmp_path, dataset, capsys,
+                                    overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(dataset),
+                     "--out", str(tmp_path / "r"), "--config", cfg])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_invalid_json_exit_code(self, tmp_path, dataset):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -262,8 +289,12 @@ class TestEvalScorePlot:
         (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5\n", 3),
         (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,x\n", 3),
         (b"video_id,frame,score,gt\nv,0,0.5,0\nv\xff,1,0.5,1\n", 3),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,nan,1\n", 3),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,0\nv,2,-inf,0\n", 4),
+        (b"video_id,frame,score,gt\nv,0,0.5,7\n", 2),
     ], ids=["valid", "non-numeric-score", "no-video_id", "short-row",
-            "non-integer-gt", "not-utf8"])
+            "non-integer-gt", "not-utf8", "nan-score", "inf-score",
+            "non-binary-gt"])
     def test_plot_bad_scores_csv_exit_code_names_line(self, tmp_path, capsys,
                                                       blob, line):
         scores = tmp_path / "scores.csv"

@@ -229,6 +229,11 @@ class TestSyntheticDataset:
                 SyntheticSpec(smoothing=smoothing)
         for smoothing in (0.0, -0.5, 0.999):  # <= 0 is white noise
             SyntheticSpec(smoothing=smoothing)
+        for durations in ((0,), (-3,), (2, 0), (2.0,), (True,)):
+            with pytest.raises(ConfigError, match="anomaly durations"):
+                SyntheticSpec(num_videos=6, anomaly_fraction=1.0,
+                              anomaly_durations=durations, seed=1)
+        SyntheticSpec(anomaly_durations=(1, np.int64(3)))
 
 
 def background_reference(rng, dim, t, smoothing):

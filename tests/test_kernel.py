@@ -220,6 +220,22 @@ class TestConvGemmBytes:
                                         conv1d_backward_einsum(g, cache)):
                         assert_same_array(got, ref)
 
+    @pytest.mark.parametrize("K,padding", [(1, 0), (3, 1), (7, 3), (3, 0)])
+    @pytest.mark.parametrize("cin,cout", [(64, 16), (16, 16), (128, 128)])
+    def test_without_dx(self, K, padding, cin, cout):
+        """need_dx=False returns no dx and the dw and db bytes of the full call."""
+        rng = np.random.default_rng([K, padding, cin, cout])
+        w = rng.uniform(-1, 1, (cout, cin, K))
+        b = rng.uniform(-1, 1, cout)
+        x = wide_range(rng, (3, cin, 11), "cm")
+        out, cache = kernel.conv1d(x, w, b, padding)
+        g = wide_range(rng, out.shape, "cm")
+        _, dw, db = kernel.conv1d_backward(g, cache)
+        dx, dw_only, db_only = kernel.conv1d_backward(g, cache, need_dx=False)
+        assert dx is None
+        assert_same_array(dw_only, dw)
+        assert_same_array(db_only, db)
+
 
 class TestAvgPoolTapBytes:
     """avg_pool1d as strided-tap sums gives the window-sum reference's bytes."""

@@ -7,8 +7,11 @@ import pytest
 
 from dams import losses as L
 from dams.amtpn import ConfigError
+from dams.data import SyntheticSpec, batch_iter, synthesize_dataset
 from dams.losses import (EmptyLossError, LossConfig, NonFiniteLossError,
                          UncertaintyWeights)
+from dams.model import ModelConfig
+from dams.trainer import TrainConfig, build_model, train_step
 
 
 def rng(seed=0):
@@ -128,6 +131,112 @@ class TestTopK:
             bumped = scores.copy()
             bumped[i] += 0.05
             assert L.topk_video_score(bumped, 0.3) >= base
+
+
+def topk_rows_loop(values, mask, fraction):
+    """Reference: the per-row top-k that `topk_rows` replaced."""
+    out = []
+    for i in range(values.shape[0]):
+        valid = int(mask[i].sum())
+        masked = np.where(mask[i] > 0, values[i], -np.inf)
+        out.append(L.topk_indices(masked, L.topk_count(valid, fraction)))
+    return out
+
+
+def anchor_loop(frame_scores, labels, mask, fraction):
+    """Reference: `build_triplet`'s per-video anchor loop."""
+    videos, times = [], []
+    for b in np.nonzero(labels > 0.5)[0]:
+        valid = int(mask[b].sum())
+        if valid < 1:
+            continue
+        masked = np.where(mask[b] > 0, frame_scores[b], -np.inf)
+        top = L.topk_indices(masked, L.topk_count(valid, fraction))
+        videos.append(np.full(len(top), b))
+        times.append(top)
+    return np.concatenate(videos), np.concatenate(times)
+
+
+def video_logits_loop(frame_logits, mask, fraction):
+    """Reference: `train_step`'s per-video top-k mean loop."""
+    video_logits = np.zeros(frame_logits.shape[0])
+    for i, idx in enumerate(topk_rows_loop(frame_logits, mask, fraction)):
+        video_logits[i] = frame_logits[i, idx].mean()
+    return video_logits
+
+
+def padded_mask(lengths, t):
+    return (np.arange(t) < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
+def tied_values(shape):
+    """Values in {-1, -0.0, 0.0, 1}: every row is full of ties."""
+    values = rng(0).integers(-1, 2, shape).astype(np.float64)
+    values[rng(1).random(shape) < 0.3] = -0.0
+    return values
+
+
+class TestTopkRows:
+    """One sort over the batch gives the per-row loop's index arrays."""
+
+    CASES = {
+        "ties": (tied_values((6, 40)), padded_mask([40, 17, 1, 0, 40, 33], 40)),
+        "all-tied": (np.full((3, 5), 0.25), padded_mask([5, 2, 3], 5)),
+        "t1": (rng(3).standard_normal((4, 1)), padded_mask([1, 1, 0, 1], 1)),
+        "wide": (rng(4).standard_normal((5, 130)) * np.exp(3 * rng(5).standard_normal((5, 130))),
+                 padded_mask([130, 64, 65, 1, 100], 130)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fraction", [0.005, 0.1, 0.5, 1.0])
+    def test_matches_row_loop(self, case, fraction):
+        values, mask = self.CASES[case]
+        got = L.topk_rows(values, mask, fraction)
+        want = topk_rows_loop(values, mask, fraction)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        if fraction == 0.005:  # k = 1 on every row
+            assert all(len(g) == 1 for g in got)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fraction", [0.005, 0.3, 1.0])
+    def test_triplet_anchors_match_row_loop(self, case, fraction):
+        scores, mask = self.CASES[case]
+        b, t = scores.shape
+        labels = (np.arange(b) % 2 == 0).astype(np.float64)
+        sel = L.build_triplet(rng(6).standard_normal((b, 3, t)), scores,
+                              np.zeros((b, t)), labels, mask, fraction)
+        for got, want in zip(sel.anchor, anchor_loop(scores, labels, mask, fraction)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_train_step_video_logits_match_row_loop(self, monkeypatch, tied):
+        records = synthesize_dataset(SyntheticSpec(
+            num_videos=8, t_min=1, t_max=12, input_dim=6, seed=5))
+        cfg = TrainConfig(model=ModelConfig(input_dim=6, channels=8, depth=1),
+                          batch_size=8, loss=LossConfig(topk_fraction=0.3))
+        batch = next(batch_iter(records, cfg.batch_size, cfg.seed, "train", 0))
+        assert batch.mask.sum(axis=1).min() < batch.mask.shape[1]  # padded rows
+        model, weights = build_model(cfg)
+        if tied:  # every frame's logit is the head's bias
+            model.head.conv2.w.value[...] = 0.0
+        seen = {}
+        forward, cls_loss = model.forward, L.video_cls_loss
+
+        def capture_forward(*args, **kwargs):
+            seen["out"] = forward(*args, **kwargs)
+            return seen["out"]
+
+        def capture_cls_loss(video_logits, labels):
+            seen["video_logits"] = video_logits
+            return cls_loss(video_logits, labels)
+        model.forward = capture_forward
+        monkeypatch.setattr(L, "video_cls_loss", capture_cls_loss)
+        train_step(model, weights, batch, cfg, 0)
+        want = video_logits_loop(seen["out"].frame_logits, batch.mask,
+                                 cfg.loss.topk_fraction)
+        assert seen["video_logits"].tobytes() == want.tobytes()
 
 
 class TestVideoClsLoss:

@@ -96,6 +96,22 @@ class TestModelForward:
                           dropout_rng=np.random.default_rng(7)).frame_logits
         np.testing.assert_array_equal(a, b)
 
+    def test_backward_skips_input_gradient(self):
+        """`DamsModel.backward` returns None and leaves the parameter
+        gradients of a backward that computes the projection's dx."""
+        x = rng(3).standard_normal((3, 16, 9))
+        grads = []
+        for need_dx in (False, True):
+            model = DamsModel(SMALL, rng(4))
+            if need_dx:
+                proj_backward = model.backbone.proj.backward
+                model.backbone.proj.backward = lambda g, need_dx: proj_backward(g)
+            out = model.forward(x, train=True)
+            g = rng(5).standard_normal(out.frame_logits.shape)
+            assert model.backward(g, rng(6).standard_normal(out.embeddings.shape)) is None
+            grads.append([p.grad.tobytes() for p in model.params()])
+        assert grads[0] == grads[1]
+
     def test_full_model_gradient(self):
         from dams.checks import check_full_model
         report = check_full_model(0, tolerance=1e-4, max_entries_per_param=3,
