@@ -90,6 +90,9 @@ _FIELD_TYPES = {
 }
 
 
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def config_from_dict(d, cls=TrainConfig, path="config"):
     """Build a config dataclass from plain data. Unknown keys and values not
     of their field's annotated type raise `ConfigError`; a nested config is
@@ -100,7 +103,7 @@ def config_from_dict(d, cls=TrainConfig, path="config"):
     unknown = sorted(set(d) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for k, v in d.items():
         hint = hints[k]
