@@ -18,7 +18,8 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .layers import BatchNorm1d, Conv1d, Layer, Linear, Relu, Sigmoid
+from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Layer, Linear, Relu,
+                     Sequential, Sigmoid, merged_state)
 
 
 class ConfigError(ValueError):
@@ -51,34 +52,15 @@ class PyramidConfig:
                 f"reduction_ratio {self.reduction_ratio} must divide channels {self.channels}")
 
 
-class TppBranch(Layer):
-    """One pyramid scale: avg_pool(s, stride 1, pad s//2) -> conv1x1 -> BN -> ReLU."""
-
-    def __init__(self, scale, channels, rng, name):
-        super().__init__()
-        self.scale = scale
-        self.conv = Conv1d(channels, channels, 1, 0, rng, f"{name}.conv")
-        self.bn = BatchNorm1d(channels, f"{name}.bn")
-        self.act = Relu()
-
-    def forward(self, x, train=False):
-        pooled = self._record(train, *kernel.avg_pool1d(
-            x, self.scale, stride=1, padding=self.scale // 2))
-        h = self.bn.forward(self.conv.forward(pooled, train), train)
-        return self.act.forward(h, train)
-
-    def backward(self, g):
-        g = self.conv.backward(self.bn.backward(self.act.backward(g)))
-        return kernel.avg_pool1d_backward(g, self._caches.pop())
-
-    def params(self):
-        return self.conv.params() + self.bn.params()
-
-
 class Tpp(Layer):
+    """One branch per scale s: avg_pool(s) -> conv1x1 -> BN -> ReLU."""
+
     def __init__(self, cfg: PyramidConfig, rng, name="tpp"):
         super().__init__()
-        self.branches = [TppBranch(s, cfg.channels, rng, f"{name}.s{s}")
+        c = cfg.channels
+        self.branches = [Sequential(AvgPool1d(s),
+                                    Conv1d(c, c, 1, 0, rng, f"{name}.s{s}.conv"),
+                                    BatchNorm1d(c, f"{name}.s{s}.bn"), Relu())
                          for s in cfg.scales]
 
     def forward(self, x, train=False):
@@ -103,10 +85,10 @@ class Aff(Layer):
         c, r, k = cfg.channels, cfg.reduction_ratio, len(cfg.scales)
         self.k = k
         self.adaptive = adaptive
-        self.mlp1 = Linear(c, c // r, rng, f"{name}.mlp1",
-                           bias_init=1.0)
-        self.mlp2 = Linear(c // r, c, rng, f"{name}.mlp2")
-        self.act = Relu()
+        self.mlp = Sequential(Linear(c, c // r, rng, f"{name}.mlp1",
+                                     bias_init=1.0),
+                              Relu(),
+                              Linear(c // r, c, rng, f"{name}.mlp2"))
         # near-zero head: fusion starts close to uniform weights and the
         # adaptive part is learned rather than injected as init noise
         self.head = Linear(k * c, k, rng, f"{name}.head",
@@ -125,8 +107,7 @@ class Aff(Layer):
             for br in branches:
                 e, gc = kernel.global_avg_pool(br)
                 gap_caches.append(gc)
-                h = self.act.forward(self.mlp1.forward(e, train), train)
-                descs.append(self.mlp2.forward(h, train))
+                descs.append(self.mlp.forward(e, train))
             concat = np.concatenate(descs, axis=1)
             logits = self.head.forward(concat, train)
             weights, sm_cache = kernel.softmax(logits, axis=1)
@@ -152,15 +133,14 @@ class Aff(Layer):
             c = branches[0].shape[1]
             for i in reversed(range(self.k)):
                 g_d = g_concat[:, i * c:(i + 1) * c]
-                g_e = self.mlp1.backward(self.act.backward(self.mlp2.backward(g_d)))
+                g_e = self.mlp.backward(g_d)
                 g_branches[i] = g_branches[i] + kernel.global_avg_pool_backward(
                     g_e, gap_caches[i])
         return g_branches
 
     def params(self):
         if self.adaptive:
-            return (self.mlp1.params() + self.mlp2.params()
-                    + self.head.params() + self.refine.params())
+            return self.mlp.params() + self.head.params() + self.refine.params()
         return self.refine.params()
 
 
@@ -173,32 +153,30 @@ class Tce(Layer):
             raise ConfigError(
                 f"tce: reduction ratio {reduction_ratio} must divide channels {channels}")
         hidden = channels // reduction_ratio
-        self.lin1 = Linear(channels, hidden, rng, f"{name}.w1",
-                           bias_init=1.0)
         # near-zero output layer: the gate starts ~0.5 for every channel
         # instead of a random fixed attenuation
-        self.lin2 = Linear(hidden, channels, rng, f"{name}.w2",
-                           bias_init=0.0, weight_scale=0.1)
-        self.act = Relu()
-        self.gate = Sigmoid()
+        self.gate = Sequential(Linear(channels, hidden, rng, f"{name}.w1",
+                                      bias_init=1.0),
+                               Relu(),
+                               Linear(hidden, channels, rng, f"{name}.w2",
+                                      bias_init=0.0, weight_scale=0.1),
+                               Sigmoid())
 
     def forward(self, x, train=False):
         z, gap_cache = kernel.global_avg_pool(x)
-        h = self.act.forward(self.lin1.forward(z, train), train)
-        alpha = self.gate.forward(self.lin2.forward(h, train), train)
+        alpha = self.gate.forward(z, train)
         return self._record(train, x * alpha[:, :, None], (x, alpha, gap_cache))
 
     def backward(self, g):
         x, alpha, gap_cache = self._caches.pop()
         gx = g * alpha[:, :, None]
         g_alpha = (g * x).sum(axis=2)
-        g_z = self.lin1.backward(self.act.backward(
-            self.lin2.backward(self.gate.backward(g_alpha))))
+        g_z = self.gate.backward(g_alpha)
         gx += kernel.global_avg_pool_backward(g_z, gap_cache)
         return gx
 
     def params(self):
-        return self.lin1.params() + self.lin2.params()
+        return self.gate.params()
 
 
 class Amtpn(Layer):
@@ -229,13 +207,8 @@ class Amtpn(Layer):
         return self.tpp.backward(g_branches)
 
     def params(self):
-        out = self.tpp.params() + self.aff.params()
-        if self.tce is not None:
-            out += self.tce.params()
-        return out
+        return [p for m in (self.tpp, self.aff, self.tce) if m is not None
+                for p in m.params()]
 
     def state_arrays(self):
-        out = {}
-        for br in self.tpp.branches:
-            out.update(br.bn.state_arrays())
-        return out
+        return merged_state(self.tpp.branches)

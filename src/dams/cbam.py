@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernel
 from .amtpn import ConfigError
-from .layers import Conv1d, Layer, Linear, Relu, Sigmoid
+from .layers import Conv1d, Layer, Linear, Relu, Sequential, Sigmoid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,33 +38,27 @@ class ChannelAttention(Layer):
             raise ConfigError(
                 f"channel attention: ratio {reduction_ratio} must divide C {channels}")
         hidden = channels // reduction_ratio
-        self.lin1 = Linear(channels, hidden, rng, f"{name}.mlp1")
         # near-zero output layer so the channel gate starts ~0.5
-        self.lin2 = Linear(hidden, channels, rng, f"{name}.mlp2",
-                           bias_init=0.0, weight_scale=0.1)
-        self.act = Relu()
+        self.mlp = Sequential(Linear(channels, hidden, rng, f"{name}.mlp1"),
+                              Relu(),
+                              Linear(hidden, channels, rng, f"{name}.mlp2",
+                                     bias_init=0.0, weight_scale=0.1))
         self.gate = Sigmoid()
-
-    def _mlp(self, z, train=False):
-        h = self.act.forward(self.lin1.forward(z, train), train)
-        return self.lin2.forward(h, train)
-
-    def _mlp_backward(self, g):
-        return self.lin1.backward(self.act.backward(self.lin2.backward(g)))
 
     def forward(self, f, train=False):
         z_avg = f.mean(axis=2)
         arg = f.argmax(axis=2)
         z_max = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
-        m = self.gate.forward(self._mlp(z_avg, train) + self._mlp(z_max, train), train)
+        m = self.gate.forward(self.mlp.forward(z_avg, train)
+                              + self.mlp.forward(z_max, train), train)
         return self._record(train, m[:, :, None], (f.shape, arg))
 
     def backward(self, g_m):
         (B, C, T), arg = self._caches.pop()
         g_logits = self.gate.backward(g_m[:, :, 0])
         # pop order mirrors forward: max branch was applied second
-        g_zmax = self._mlp_backward(g_logits)
-        g_zavg = self._mlp_backward(g_logits)
+        g_zmax = self.mlp.backward(g_logits)
+        g_zavg = self.mlp.backward(g_logits)
         g_f = np.repeat(g_zavg[:, :, None] / T, T, axis=2)
         bi = np.arange(B)[:, None]
         ci = np.arange(C)[None, :]
@@ -72,7 +66,7 @@ class ChannelAttention(Layer):
         return g_f
 
     def params(self):
-        return self.lin1.params() + self.lin2.params()
+        return self.mlp.params()
 
 
 class TemporalAttention(Layer):
@@ -144,9 +138,4 @@ class Cbam(Layer):
         return g
 
     def params(self):
-        out = []
-        if self.ca is not None:
-            out += self.ca.params()
-        if self.ta is not None:
-            out += self.ta.params()
-        return out
+        return [p for m in (self.ca, self.ta) if m is not None for p in m.params()]

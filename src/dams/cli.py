@@ -63,10 +63,19 @@ def _split_train_val(records, val_fraction):
     return train_recs, val_recs
 
 
+def _read_config(path):
+    """The `TrainConfig` of a JSON file; a directory or a file that is not
+    UTF-8 text is a config error, like one that is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return config_from_dict(json.load(fh))
+    except (UnicodeDecodeError, IsADirectoryError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_train_config(args, records):
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = config_from_dict(json.load(fh))
+        cfg = _read_config(args.config)
     else:
         model = ModelConfig(input_dim=records[0].input_dim)
         cfg = TrainConfig(model=model)
@@ -231,8 +240,7 @@ def cmd_gradcheck(args):
 
 def cmd_info(args):
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = config_from_dict(json.load(fh))
+        cfg = _read_config(args.config)
     else:
         cfg = TrainConfig(model=ModelConfig(input_dim=64))
     info = {"version": __version__,
@@ -336,7 +344,8 @@ def main(argv=None):
         print(f"error: missing-path: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except FeatureFileError as exc:
-        print(f"error: format:{exc.code}: {exc}", file=sys.stderr)
+        kind = "format" if exc.code == "format" else f"format:{exc.code}"
+        print(f"error: {kind}: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (NonFiniteLossError, GradCheckAborted, UndefinedMetricError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

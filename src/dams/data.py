@@ -80,8 +80,11 @@ def write_container(path, magic, meta, arrays):
 def read_container(path, magic):
     """Read a file written by `write_container` as (arrays, meta). Every
     malformed file raises a `FeatureFileError` subclass."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except IsADirectoryError as exc:
+        raise FeatureFileError(f"{path}: is a directory") from exc
     if len(blob) < _PREFIX.size + _CRC.size:
         raise TruncatedFileError(f"{path}: too short for a header")
     found, version, body_len = _PREFIX.unpack_from(blob)
@@ -249,6 +252,8 @@ def load_dataset(in_dir):
                                            pseudo_probs=pseudo_probs))
             except ConfigError as exc:  # a row the record rejects is malformed
                 raise FeatureFileError(f"{where}: {exc}") from exc
+    if not records:
+        raise FeatureFileError(f"{manifest}: no video rows")
     return records
 
 

@@ -8,6 +8,10 @@ when `train` is true, so inference leaves no state behind. The stack lets
 one instance be applied several times per forward pass (e.g. a descriptor
 MLP shared across pyramid branches). Backward calls must mirror training
 forward calls in exact reverse order; `backward` pops the most recent cache.
+
+`Sequential` is the one place that mirror is written, so a chain such as a
+pyramid branch (`AvgPool1d` -> `Conv1d` -> `BatchNorm1d` -> `Relu`) or a
+gating MLP is declared once, as its list of children.
 """
 
 from __future__ import annotations
@@ -35,8 +39,47 @@ class Layer:
             self._caches.append(cache)
         return out
 
+    def _accumulate(self, dx, *grads):
+        """Add each gradient to its parameter, in `params()` order; return `dx`."""
+        for p, g in zip(self.params(), grads):
+            p.grad += g
+        return dx
+
     def params(self):
         return []
+
+    def state_arrays(self):
+        """Name -> live array of persistent non-parameter state."""
+        return {}
+
+
+def merged_state(layers):
+    """The union of the `state_arrays()` of `layers`, in order."""
+    return {k: v for layer in layers for k, v in layer.state_arrays().items()}
+
+
+class Sequential(Layer):
+    """Children applied in order; `backward` runs their backwards in reverse."""
+
+    def __init__(self, *layers):
+        super().__init__()
+        self.layers = list(layers)
+
+    def forward(self, x, train=False):
+        for layer in self.layers:
+            x = layer.forward(x, train)
+        return x
+
+    def backward(self, g):
+        for layer in reversed(self.layers):
+            g = layer.backward(g)
+        return g
+
+    def params(self):
+        return [p for layer in self.layers for p in layer.params()]
+
+    def state_arrays(self):
+        return merged_state(self.layers)
 
 
 class Conv1d(Layer):
@@ -59,10 +102,7 @@ class Conv1d(Layer):
                                                   self.padding))
 
     def backward(self, g, need_dx=True):
-        dx, dw, db = kernel.conv1d_backward(g, self._caches.pop(), need_dx)
-        self.w.grad += dw
-        self.b.grad += db
-        return dx
+        return self._accumulate(*kernel.conv1d_backward(g, self._caches.pop(), need_dx))
 
     def params(self):
         return [self.w, self.b]
@@ -87,10 +127,7 @@ class Linear(Layer):
         return self._record(train, *kernel.linear(x, self.w.value, self.b.value))
 
     def backward(self, g):
-        dx, dw, db = kernel.linear_backward(g, self._caches.pop())
-        self.w.grad += dw
-        self.b.grad += db
-        return dx
+        return self._accumulate(*kernel.linear_backward(g, self._caches.pop()))
 
     def params(self):
         return [self.w, self.b]
@@ -109,10 +146,7 @@ class BatchNorm1d(Layer):
             x, self.gamma.value, self.beta.value, self.state, train))
 
     def backward(self, g):
-        dx, dgamma, dbeta = kernel.batch_norm1d_backward(g, self._caches.pop())
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
-        return dx
+        return self._accumulate(*kernel.batch_norm1d_backward(g, self._caches.pop()))
 
     def params(self):
         return [self.gamma, self.beta]
@@ -120,6 +154,22 @@ class BatchNorm1d(Layer):
     def state_arrays(self):
         return {f"{self.name}.running_mean": self.state.running_mean,
                 f"{self.name}.running_var": self.state.running_var}
+
+
+class AvgPool1d(Layer):
+    """Stride-1 average pool over time, padded by `size // 2` (odd `size`
+    keeps the length)."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.avg_pool1d(
+            x, self.size, stride=1, padding=self.size // 2))
+
+    def backward(self, g):
+        return kernel.avg_pool1d_backward(g, self._caches.pop())
 
 
 class Relu(Layer):

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel
 from .amtpn import Amtpn, ConfigError, PyramidConfig
 from .cbam import Cbam, CbamConfig
-from .layers import BatchNorm1d, Conv1d, Layer, Relu
+from .layers import BatchNorm1d, Conv1d, Layer, Relu, Sequential, merged_state
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -91,55 +91,43 @@ class Backbone(Layer):
     def __init__(self, input_dim, channels, depth, rng, name="backbone"):
         super().__init__()
         self.proj = Conv1d(input_dim, channels, 1, 0, rng, f"{name}.proj")
-        self.blocks = []
-        for i in range(depth):
-            conv = Conv1d(channels, channels, 3, 1, rng, f"{name}.block{i}.conv")
-            bn = BatchNorm1d(channels, f"{name}.block{i}.bn")
-            self.blocks.append((conv, bn, Relu()))
+        self.blocks = [Sequential(Conv1d(channels, channels, 3, 1, rng,
+                                         f"{name}.block{i}.conv"),
+                                  BatchNorm1d(channels, f"{name}.block{i}.bn"),
+                                  Relu())
+                       for i in range(depth)]
 
     def forward(self, x, train=False):
         h = self.proj.forward(x, train)
-        for conv, bn, act in self.blocks:
-            h = h + act.forward(bn.forward(conv.forward(h, train), train), train)
+        for block in self.blocks:
+            h = h + block.forward(h, train)
         return h
 
     def backward(self, g, need_dx=True):
-        for conv, bn, act in reversed(self.blocks):
-            g = g + conv.backward(bn.backward(act.backward(g)))
+        for block in reversed(self.blocks):
+            g = g + block.backward(g)
         return self.proj.backward(g, need_dx)
 
     def params(self):
-        out = self.proj.params()
-        for conv, bn, _ in self.blocks:
-            out += conv.params() + bn.params()
-        return out
+        return self.proj.params() + [p for b in self.blocks for p in b.params()]
 
     def state_arrays(self):
-        out = {}
-        for _, bn, _ in self.blocks:
-            out.update(bn.state_arrays())
-        return out
+        return merged_state(self.blocks)
 
 
-class Head(Layer):
+class Head(Sequential):
     """Per-frame classifier: conv1x1 C->H, ReLU, conv1x1 H->1."""
 
     def __init__(self, channels, hidden, rng, name="head"):
-        super().__init__()
-        self.conv1 = Conv1d(channels, hidden, 1, 0, rng, f"{name}.conv1")
-        self.conv2 = Conv1d(hidden, 1, 1, 0, rng, f"{name}.conv2")
-        self.act = Relu()
+        super().__init__(Conv1d(channels, hidden, 1, 0, rng, f"{name}.conv1"),
+                         Relu(),
+                         Conv1d(hidden, 1, 1, 0, rng, f"{name}.conv2"))
 
     def forward(self, x, train=False):
-        h = self.act.forward(self.conv1.forward(x, train), train)
-        return self.conv2.forward(h, train)[:, 0, :]
+        return super().forward(x, train)[:, 0, :]
 
     def backward(self, g_logits):
-        g = self.conv2.backward(g_logits[:, None, :])
-        return self.conv1.backward(self.act.backward(g))
-
-    def params(self):
-        return self.conv1.params() + self.conv2.params()
+        return super().backward(g_logits[:, None, :])
 
 
 class DamsModel(Layer):
@@ -194,21 +182,17 @@ class DamsModel(Layer):
             g = self.amtpn.backward(g)
         self.backbone.backward(g, need_dx=False)
 
+    def _modules(self):
+        return [m for m in (self.backbone, self.amtpn, self.cbam, self.head)
+                if m is not None]
+
     def params(self):
-        out = self.backbone.params()
-        if self.amtpn is not None:
-            out += self.amtpn.params()
-        if self.cbam is not None:
-            out += self.cbam.params()
-        out += self.head.params()
-        return out
+        return [p for m in self._modules() for p in m.params()]
 
     def state_arrays(self):
         """All persistent arrays: parameters plus BN running statistics."""
         out = {p.name: p.value for p in self.params()}
-        out.update(self.backbone.state_arrays())
-        if self.amtpn is not None:
-            out.update(self.amtpn.state_arrays())
+        out.update(merged_state(self._modules()))
         return out
 
 

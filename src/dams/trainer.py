@@ -419,9 +419,12 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
         start_iter = _meta_value(meta, "iteration", int)
         best_auc = _meta_value(meta, "best_auc", float)
         best_iteration = _meta_value(meta, "best_iteration", int)
-        if best_iteration >= 0:
-            best_state = snapshot_state()
-            _restore_state(arrays, best_state, "best/")
+        # the best/ arrays are checked even when -1.0 (no validation pass
+        # ran) says there is no best yet
+        best_state = snapshot_state()
+        _restore_state(arrays, best_state, "best/")
+        if best_auc < 0.0:
+            best_auc, best_iteration, best_state = -math.inf, -1, None
 
     batches_per_epoch = max(1, math.ceil(len(train_records) / cfg.batch_size))
     epoch_cache = {}
@@ -471,6 +474,7 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # an AUC lies in [0, 1]: -1.0 records that no validation pass ran
         meta = {"iteration": cfg.max_iterations, "adam_t": opt.t,
                 "best_auc": best_auc if math.isfinite(best_auc) else -1.0,
                 "best_iteration": best_iteration,
@@ -492,7 +496,10 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
 def load_model_for_inference(path):
     """Rebuild a model (and its config) from any checkpoint file."""
     arrays, meta = load_checkpoint(path)
-    cfg = config_from_dict(_meta_value(meta, "config", dict))
+    try:
+        cfg = config_from_dict(_meta_value(meta, "config", dict))
+    except ConfigError as exc:  # the file, not the run, is at fault
+        raise FeatureFileError(f"{path}: checkpoint meta: {exc}") from exc
     model, weights = build_model(cfg)
     prefix = "" if "uncertainty.rho" in arrays else "best/"
     _restore_state(arrays, _all_state(model, weights), prefix)

@@ -48,11 +48,11 @@ class TestTpp:
         tpp = Tpp(PyramidConfig(scales=(1,), channels=4, reduction_ratio=2), rng(2))
         x = rng(3).standard_normal((2, 4, 6))
         branch = tpp.forward(x, train=True)[0]
-        br = tpp.branches[0]
-        conv_out, _ = kernel.conv1d(x, br.conv.w.value, br.conv.b.value, 0)
+        _, conv, bn, _ = tpp.branches[0].layers
+        conv_out, _ = kernel.conv1d(x, conv.w.value, conv.b.value, 0)
         state = kernel.BatchNormState.create(4)
-        bn_out, _ = kernel.batch_norm1d(x=conv_out, gamma=br.bn.gamma.value,
-                                        beta=br.bn.beta.value, state=state,
+        bn_out, _ = kernel.batch_norm1d(x=conv_out, gamma=bn.gamma.value,
+                                        beta=bn.beta.value, state=state,
                                         train=True)
         expected, _ = kernel.relu(bn_out)
         np.testing.assert_allclose(branch, expected, atol=1e-12)
@@ -123,8 +123,9 @@ class TestAff:
 class TestTce:
     def test_zero_logits_halve(self):
         tce = Tce(8, 2, rng(0))
-        tce.lin2.w.value[...] = 0.0
-        tce.lin2.b.value[...] = 0.0
+        lin2 = tce.gate.layers[2]
+        lin2.w.value[...] = 0.0
+        lin2.b.value[...] = 0.0
         x = rng(1).standard_normal((2, 8, 5))
         np.testing.assert_allclose(tce.forward(x), 0.5 * x, atol=1e-12)
 
@@ -137,10 +138,11 @@ class TestTce:
     def test_hand_scalar_chain(self):
         # C=2, r=2, T=1: gap is the input itself; unit weights, zero biases
         tce = Tce(2, 2, rng(4))
-        tce.lin1.w.value[...] = np.ones((1, 2))
-        tce.lin1.b.value[...] = 0.0
-        tce.lin2.w.value[...] = np.ones((2, 1))
-        tce.lin2.b.value[...] = 0.0
+        lin1, _, lin2, _ = tce.gate.layers
+        lin1.w.value[...] = np.ones((1, 2))
+        lin1.b.value[...] = 0.0
+        lin2.w.value[...] = np.ones((2, 1))
+        lin2.b.value[...] = 0.0
         x = np.asarray([[[0.3], [0.4]]])
         hidden = max(0.0, 0.3 + 0.4)
         alpha = 1.0 / (1.0 + np.exp(-hidden))

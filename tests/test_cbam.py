@@ -33,8 +33,9 @@ class TestChannelAttention:
 
     def test_zero_mlp_gives_half(self):
         ca = ChannelAttention(8, 2, rng(2))
-        ca.lin2.w.value[...] = 0.0
-        ca.lin2.b.value[...] = 0.0
+        lin2 = ca.mlp.layers[2]
+        lin2.w.value[...] = 0.0
+        lin2.b.value[...] = 0.0
         m = ca.forward(rng(3).standard_normal((2, 8, 5)))
         np.testing.assert_allclose(m, 0.5, atol=1e-12)
 
@@ -44,17 +45,18 @@ class TestChannelAttention:
         v = rng(5).standard_normal((2, 4))
         f = np.repeat(v[:, :, None], 6, axis=2)
         m = ca.forward(f)
-        logits = ca._mlp(v)
+        logits = ca.mlp.forward(v)
         expected, _ = kernel.sigmoid(2.0 * logits)
         np.testing.assert_allclose(m[:, :, 0], expected, atol=1e-12)
 
     def test_hand_identity_mlp(self):
         # C=2 with the MLP forced to the identity: gate = sigmoid(avg + max)
         ca = ChannelAttention(2, 1, rng(6))
-        ca.lin1.w.value[...] = np.eye(2)
-        ca.lin1.b.value[...] = 0.0
-        ca.lin2.w.value[...] = np.eye(2)
-        ca.lin2.b.value[...] = 0.0
+        lin1, _, lin2 = ca.mlp.layers
+        lin1.w.value[...] = np.eye(2)
+        lin1.b.value[...] = 0.0
+        lin2.w.value[...] = np.eye(2)
+        lin2.b.value[...] = 0.0
         f = np.asarray([[[1.0, 3.0], [2.0, 2.0]]])  # avg [2,2], max [3,2]
         m = ca.forward(f)
         expected, _ = kernel.sigmoid(np.asarray([2.0 + 3.0, 2.0 + 2.0]))
@@ -108,7 +110,7 @@ class TestCbam:
 
     def test_open_gates_identity(self):
         cbam = Cbam(8, CFG, rng(2))
-        for lin in (cbam.ca.lin2, ):
+        for lin in (cbam.ca.mlp.layers[2], ):
             lin.w.value[...] = 0.0
             lin.b.value[...] = 40.0   # saturate the sigmoid at ~1
         cbam.ta.conv.w.value[...] = 0.0

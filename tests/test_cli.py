@@ -113,6 +113,31 @@ class TestTrain:
                      "--out", str(tmp_path / "r"), "--config", str(path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["train", "info"])
+    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    def test_unreadable_config_exit_code(self, tmp_path, dataset, capsys,
+                                         command, fault):
+        path = tmp_path / "config.json"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": 0, "bogus\xff": 1}')
+        args = ["--config", str(path)]
+        if command == "train":
+            args += ["--dataset", str(dataset), "--out", str(tmp_path / "r")]
+        capsys.readouterr()
+        assert main([command] + args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: config: {path}: ")
+
+    def test_empty_manifest_exit_code(self, tmp_path, dataset, capsys):
+        (dataset / "manifest.jsonl").write_text("\n")
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(dataset),
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith(
+            f"error: format: {dataset / 'manifest.jsonl'}: no video rows")
+
     def test_missing_dataset_exit_code(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "r")])
@@ -239,6 +264,26 @@ class TestEvalScorePlot:
         save_checkpoint(bare, {"a": [1.0]}, {})
         code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(bare)])
         assert code == EXIT_FORMAT
+
+    @pytest.mark.parametrize("command", ["eval", "score"])
+    @pytest.mark.parametrize("fault", ["float-seed", "unknown-key", "directory"])
+    def test_bad_checkpoint_exit_code(self, tmp_path, dataset, trained, capsys,
+                                      command, fault):
+        bad = tmp_path / "bad.ckpt"
+        if fault == "directory":
+            bad.mkdir()
+        else:  # a stored config that `config_from_dict` rejects
+            arrays, meta = load_checkpoint(trained / "checkpoint_final.ckpt")
+            if fault == "float-seed":
+                meta["config"]["seed"] = 1.5
+            else:
+                meta["config"]["bogus"] = 1
+            save_checkpoint(bad, arrays, meta)
+        capsys.readouterr()
+        code = main([command, "--dataset", str(dataset), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith(f"error: format: {bad}: ")
 
     def test_checkpoint_missing_best_array_exit_code(self, tmp_path, dataset,
                                                      trained):

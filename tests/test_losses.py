@@ -220,7 +220,7 @@ class TestTopkRows:
         assert batch.mask.sum(axis=1).min() < batch.mask.shape[1]  # padded rows
         model, weights = build_model(cfg)
         if tied:  # every frame's logit is the head's bias
-            model.head.conv2.w.value[...] = 0.0
+            model.head.layers[2].w.value[...] = 0.0
         seen = {}
         forward, cls_loss = model.forward, L.video_cls_loss
 

@@ -1,10 +1,13 @@
 """Model assembly shape contracts and the offline similarity path."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dams.amtpn import ConfigError, PyramidConfig
 from dams.cbam import CbamConfig
+from dams.checks import SMALL_MODEL
 from dams.model import (Backbone, ClipPathConfig, DamsModel,
                         DegenerateEmbeddingError, ModelConfig,
                         clip_binary_probs, clip_scores, pseudo_labels)
@@ -117,6 +120,51 @@ class TestModelForward:
         report = check_full_model(0, tolerance=1e-4, max_entries_per_param=3,
                                   rng=np.random.default_rng(0))
         assert report.passed, report.max_rel_error
+
+
+def _sha256_lines(names):
+    return hashlib.sha256("\n".join(names).encode()).hexdigest()
+
+
+class TestParameterOrder:
+    """`params()` order is what `grad_check` (and `dams gradcheck`) index
+    into and what Adam steps through; checkpoint headers sort array names,
+    so only these tests see a reordering."""
+
+    def test_small_model_order(self):
+        model = DamsModel(SMALL_MODEL, rng(0))
+        names = [p.name for p in model.params()]
+        assert names == [
+            "backbone.proj.w", "backbone.proj.b",
+            "backbone.block0.conv.w", "backbone.block0.conv.b",
+            "backbone.block0.bn.gamma", "backbone.block0.bn.beta",
+            "amtpn.tpp.s1.conv.w", "amtpn.tpp.s1.conv.b",
+            "amtpn.tpp.s1.bn.gamma", "amtpn.tpp.s1.bn.beta",
+            "amtpn.tpp.s3.conv.w", "amtpn.tpp.s3.conv.b",
+            "amtpn.tpp.s3.bn.gamma", "amtpn.tpp.s3.bn.beta",
+            "amtpn.aff.mlp1.w", "amtpn.aff.mlp1.b",
+            "amtpn.aff.mlp2.w", "amtpn.aff.mlp2.b",
+            "amtpn.aff.head.w", "amtpn.aff.head.b",
+            "amtpn.aff.refine.w", "amtpn.aff.refine.b",
+            "amtpn.tce.w1.w", "amtpn.tce.w1.b",
+            "amtpn.tce.w2.w", "amtpn.tce.w2.b",
+            "cbam.ca.mlp1.w", "cbam.ca.mlp1.b",
+            "cbam.ca.mlp2.w", "cbam.ca.mlp2.b",
+            "cbam.ta.conv.w", "cbam.ta.conv.b",
+            "head.conv1.w", "head.conv1.b",
+            "head.conv2.w", "head.conv2.b"]
+        assert list(model.state_arrays())[len(names):] == [
+            f"{bn}.{stat}"
+            for bn in ("backbone.block0.bn", "amtpn.tpp.s1.bn", "amtpn.tpp.s3.bn")
+            for stat in ("running_mean", "running_var")]
+
+    def test_default_model_order(self):
+        model = DamsModel(ModelConfig(), rng(0))
+        assert len(model.params()) == 48
+        assert _sha256_lines(p.name for p in model.params()) == (
+            "084a6cd31fe84b44d8dfb87160f706299d8915e91e86118e2445dd8631699fb3")
+        assert _sha256_lines(model.state_arrays()) == (
+            "d3a5c432155c98919ceeb4b68d22622f82c87a41d5bcdcb0069213fbaa99d3fd")
 
 
 class TestClipScores:

@@ -247,6 +247,29 @@ class TestTraining:
         for p, q in zip(full.model.params(), resumed.model.params()):
             assert np.array_equal(p.value, q.value)
 
+    @pytest.mark.parametrize("validate_every, split", [
+        (100, 2), (2, 2), (3, 2), (2, 3), (100, 0)],
+        ids=["no-validation", "validated-before-split", "validated-after-split",
+             "split-between-validations", "split-at-zero"])
+    def test_split_resume_writes_the_same_checkpoints(self, tmp_path,
+                                                      validate_every, split):
+        records = small_records(10)
+        cfg = small_config(max_iterations=4, validate_every=validate_every)
+        full = train(cfg, records, records[:4], out_dir=tmp_path / "full")
+        train(dataclasses.replace(cfg, max_iterations=split), records,
+              records[:4], out_dir=tmp_path / "first")
+        resumed = train(cfg, records, records[:4], out_dir=tmp_path / "resumed",
+                        resume=tmp_path / "first" / "checkpoint_final.ckpt")
+        for name in ("checkpoint_final.ckpt", "checkpoint_best.ckpt"):
+            assert ((tmp_path / "full" / name).read_bytes()
+                    == (tmp_path / "resumed" / name).read_bytes()), name
+        assert (resumed.best_auc, resumed.best_iteration) == (
+            full.best_auc, full.best_iteration)
+        # the resumed run's log holds only the iterations it ran
+        full_log = (tmp_path / "full" / "log.jsonl").read_text().splitlines()
+        resumed_log = (tmp_path / "resumed" / "log.jsonl").read_text().splitlines()
+        assert resumed_log == full_log[split:]
+
     def test_resume_config_mismatch_rejected(self, tmp_path):
         records = small_records()
         cfg = small_config()
@@ -396,8 +419,8 @@ class TestEvaluate:
         assert set(d) == {"auc", "ap", "per_video"}
 
 
-MODULE_CLASSES = {"Conv1d", "Linear", "BatchNorm1d", "Relu", "Sigmoid",
-                  "TppBranch", "Tpp", "Aff", "Tce", "ChannelAttention",
+MODULE_CLASSES = {"Conv1d", "Linear", "BatchNorm1d", "AvgPool1d", "Relu",
+                  "Sigmoid", "Sequential", "Tpp", "Aff", "Tce", "ChannelAttention",
                   "TemporalAttention", "Cbam", "Amtpn", "Backbone", "Head",
                   "DamsModel"}
 
