@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel
 from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Layer, Linear, Relu,
-                     Sequential, Sigmoid, merged_state)
+                     Sequential, Sigmoid)
 
 
 class ConfigError(ValueError):
@@ -73,9 +73,6 @@ class Tpp(Layer):
             dx = d if dx is None else dx + d
         return dx
 
-    def params(self):
-        return [p for br in self.branches for p in br.params()]
-
 
 class Aff(Layer):
     """Adaptive feature fusion over pyramid branches."""
@@ -84,7 +81,6 @@ class Aff(Layer):
         super().__init__()
         c, r, k = cfg.channels, cfg.reduction_ratio, len(cfg.scales)
         self.k = k
-        self.adaptive = adaptive
         self.mlp = Sequential(Linear(c, c // r, rng, f"{name}.mlp1",
                                      bias_init=1.0),
                               Relu(),
@@ -94,6 +90,10 @@ class Aff(Layer):
         self.head = Linear(k * c, k, rng, f"{name}.head",
                            bias_init=0.0, weight_scale=0.1)
         self.refine = Conv1d(c, c, 1, 0, rng, f"{name}.refine")
+        if not adaptive:
+            # built all the same so no later rng draw moves; uniform fusion
+            # has no descriptor MLP or head to train
+            self.mlp = self.head = None
 
     def forward(self, branches, train=False):
         if len(branches) == 0:
@@ -101,7 +101,7 @@ class Aff(Layer):
         if len(branches) != self.k:
             raise ConfigError(f"aff_forward: expected {self.k} branches, got {len(branches)}")
         B = branches[0].shape[0]
-        if self.adaptive:
+        if self.head is not None:
             gap_caches = []
             descs = []
             for br in branches:
@@ -126,7 +126,7 @@ class Aff(Layer):
         branches, weights, gap_caches, sm_cache = self._caches.pop()
         g_mix = self.refine.backward(g_fused)
         g_branches = [weights[:, i, None, None] * g_mix for i in range(self.k)]
-        if self.adaptive:
+        if self.head is not None:
             g_w = np.stack([(g_mix * br).sum(axis=(1, 2)) for br in branches], axis=1)
             g_logits = kernel.softmax_backward(g_w, sm_cache)
             g_concat = self.head.backward(g_logits)
@@ -137,11 +137,6 @@ class Aff(Layer):
                 g_branches[i] = g_branches[i] + kernel.global_avg_pool_backward(
                     g_e, gap_caches[i])
         return g_branches
-
-    def params(self):
-        if self.adaptive:
-            return self.mlp.params() + self.head.params() + self.refine.params()
-        return self.refine.params()
 
 
 class Tce(Layer):
@@ -175,9 +170,6 @@ class Tce(Layer):
         gx += kernel.global_avg_pool_backward(g_z, gap_cache)
         return gx
 
-    def params(self):
-        return self.gate.params()
-
 
 class Amtpn(Layer):
     """TPP -> AFF -> TCE pipeline; output shape equals input shape.
@@ -205,10 +197,3 @@ class Amtpn(Layer):
             g = self.tce.backward(g)
         g_branches = self.aff.backward(g)
         return self.tpp.backward(g_branches)
-
-    def params(self):
-        return [p for m in (self.tpp, self.aff, self.tce) if m is not None
-                for p in m.params()]
-
-    def state_arrays(self):
-        return merged_state(self.tpp.branches)

@@ -46,27 +46,25 @@ class ChannelAttention(Layer):
         self.gate = Sigmoid()
 
     def forward(self, f, train=False):
-        z_avg = f.mean(axis=2)
+        z_avg, gap_cache = kernel.global_avg_pool(f)
         arg = f.argmax(axis=2)
         z_max = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
         m = self.gate.forward(self.mlp.forward(z_avg, train)
                               + self.mlp.forward(z_max, train), train)
-        return self._record(train, m[:, :, None], (f.shape, arg))
+        return self._record(train, m[:, :, None], (gap_cache, arg))
 
     def backward(self, g_m):
-        (B, C, T), arg = self._caches.pop()
+        gap_cache, arg = self._caches.pop()
+        B, C, _ = gap_cache
         g_logits = self.gate.backward(g_m[:, :, 0])
         # pop order mirrors forward: max branch was applied second
         g_zmax = self.mlp.backward(g_logits)
         g_zavg = self.mlp.backward(g_logits)
-        g_f = np.repeat(g_zavg[:, :, None] / T, T, axis=2)
+        g_f = kernel.global_avg_pool_backward(g_zavg, gap_cache)
         bi = np.arange(B)[:, None]
         ci = np.arange(C)[None, :]
         g_f[bi, ci, arg] += g_zmax
         return g_f
-
-    def params(self):
-        return self.mlp.params()
 
 
 class TemporalAttention(Layer):
@@ -96,9 +94,6 @@ class TemporalAttention(Layer):
         ti = np.arange(T)[None, :]
         g_f[bi, arg, ti] += g_max
         return g_f
-
-    def params(self):
-        return self.conv.params()
 
 
 class Cbam(Layer):
@@ -136,6 +131,3 @@ class Cbam(Layer):
             g_mc = (g * f).sum(axis=2, keepdims=True)
             g = g * mc + self.ca.backward(g_mc)
         return g
-
-    def params(self):
-        return [p for m in (self.ca, self.ta) if m is not None for p in m.params()]

@@ -25,9 +25,24 @@ def _p(rng, shape, name, lo=-1.0, hi=1.0):
     return Parameter(rng.uniform(lo, hi, shape), name)
 
 
-def _projection_loss(rng, shape):
-    r = rng.uniform(-1.0, 1.0, shape)
-    return r
+def _op_check(seed, inputs, out_shape, op, op_backward, **kw):
+    """Gradcheck one kernel op under the loss `sum(op(*inputs) * r)`.
+
+    `inputs` holds one `(shape, name[, lo, hi])` per op input; they are drawn
+    in order, then the projection `r` of `out_shape`. `op_backward(r, cache)`
+    returns the input gradients in `inputs` order (one array for one input).
+    """
+    rng = np.random.default_rng(seed)
+    xs = [_p(rng, *spec) for spec in inputs]
+    r = rng.uniform(-1.0, 1.0, out_shape)
+
+    def fn():
+        out, cache = op(*(x.value for x in xs))
+        grads = op_backward(r, cache)
+        for x, g in zip(xs, grads if len(xs) > 1 else [grads]):
+            x.grad += g
+        return (out * r).sum()
+    return grad_check(fn, xs, **kw)
 
 
 SMALL_PYRAMID = PyramidConfig(scales=(1, 3), channels=8, reduction_ratio=2)
@@ -37,115 +52,56 @@ SMALL_MODEL = ModelConfig(input_dim=16, channels=8, depth=1, head_hidden=4,
 
 
 def check_conv1d(seed, **kw):
-    rng = np.random.default_rng(seed)
-    x = _p(rng, (2, 3, 8), "x")
-    w = _p(rng, (4, 3, 3), "w")
-    b = _p(rng, (4,), "b")
-    r = _projection_loss(rng, (2, 4, 8))
-
-    def fn():
-        out, cache = kernel.conv1d(x.value, w.value, b.value, padding=1)
-        dx, dw, db = kernel.conv1d_backward(r, cache)
-        x.grad += dx
-        w.grad += dw
-        b.grad += db
-        return (out * r).sum()
-    return grad_check(fn, [x, w, b], **kw)
+    return _op_check(seed, [((2, 3, 8), "x"), ((4, 3, 3), "w"), ((4,), "b")],
+                     (2, 4, 8), lambda x, w, b: kernel.conv1d(x, w, b, padding=1),
+                     kernel.conv1d_backward, **kw)
 
 
 def check_avg_pool1d(seed, **kw):
-    rng = np.random.default_rng(seed)
-    x = _p(rng, (2, 3, 9), "x")
-    r = _projection_loss(rng, (2, 3, 9))
-
-    def fn():
-        out, cache = kernel.avg_pool1d(x.value, 3, stride=1, padding=1)
-        x.grad += kernel.avg_pool1d_backward(r, cache)
-        return (out * r).sum()
-    return grad_check(fn, [x], **kw)
+    return _op_check(seed, [((2, 3, 9), "x")], (2, 3, 9),
+                     lambda x: kernel.avg_pool1d(x, 3, stride=1, padding=1),
+                     kernel.avg_pool1d_backward, **kw)
 
 
 def check_max_pool1d(seed, **kw):
-    rng = np.random.default_rng(seed)
-    x = _p(rng, (2, 3, 9), "x")
-    r = _projection_loss(rng, (2, 3, 9))
-
-    def fn():
-        out, cache = kernel.max_pool1d(x.value, 3, stride=1, padding=1)
-        x.grad += kernel.max_pool1d_backward(r, cache)
-        return (out * r).sum()
-    return grad_check(fn, [x], **kw)
+    return _op_check(seed, [((2, 3, 9), "x")], (2, 3, 9),
+                     lambda x: kernel.max_pool1d(x, 3, stride=1, padding=1),
+                     kernel.max_pool1d_backward, **kw)
 
 
 def check_linear(seed, **kw):
-    rng = np.random.default_rng(seed)
-    x = _p(rng, (3, 5), "x")
-    w = _p(rng, (4, 5), "w")
-    b = _p(rng, (4,), "b")
-    r = _projection_loss(rng, (3, 4))
-
-    def fn():
-        out, cache = kernel.linear(x.value, w.value, b.value)
-        dx, dw, db = kernel.linear_backward(r, cache)
-        x.grad += dx
-        w.grad += dw
-        b.grad += db
-        return (out * r).sum()
-    return grad_check(fn, [x, w, b], **kw)
-
-
-def _elementwise_check(op, op_backward, seed, axis=None, **kw):
-    rng = np.random.default_rng(seed)
-    x = _p(rng, (3, 6), "x")
-    r = _projection_loss(rng, (3, 6))
-
-    def fn():
-        if axis is None:
-            out, cache = op(x.value)
-        else:
-            out, cache = op(x.value, axis)
-        x.grad += op_backward(r, cache)
-        return (out * r).sum()
-    return grad_check(fn, [x], **kw)
+    return _op_check(seed, [((3, 5), "x"), ((4, 5), "w"), ((4,), "b")], (3, 4),
+                     kernel.linear, kernel.linear_backward, **kw)
 
 
 def check_softmax(seed, **kw):
-    return _elementwise_check(kernel.softmax, kernel.softmax_backward, seed,
-                              axis=1, **kw)
+    return _op_check(seed, [((3, 6), "x")], (3, 6),
+                     lambda x: kernel.softmax(x, 1), kernel.softmax_backward, **kw)
 
 
 def check_sigmoid(seed, **kw):
-    return _elementwise_check(kernel.sigmoid, kernel.sigmoid_backward, seed, **kw)
+    return _op_check(seed, [((3, 6), "x")], (3, 6),
+                     kernel.sigmoid, kernel.sigmoid_backward, **kw)
 
 
 def check_relu(seed, **kw):
-    return _elementwise_check(kernel.relu, kernel.relu_backward, seed, **kw)
+    return _op_check(seed, [((3, 6), "x")], (3, 6),
+                     kernel.relu, kernel.relu_backward, **kw)
 
 
 def check_batch_norm1d(seed, **kw):
-    rng = np.random.default_rng(seed)
-    x = _p(rng, (2, 4, 6), "x")
-    gamma = _p(rng, (4,), "gamma", 0.5, 1.5)
-    beta = _p(rng, (4,), "beta")
     state = kernel.BatchNormState.create(4)
-    r = _projection_loss(rng, (2, 4, 6))
-
-    def fn():
-        out, cache = kernel.batch_norm1d(x.value, gamma.value, beta.value,
-                                         state, train=True)
-        dx, dg, db = kernel.batch_norm1d_backward(r, cache)
-        x.grad += dx
-        gamma.grad += dg
-        beta.grad += db
-        return (out * r).sum()
-    return grad_check(fn, [x, gamma, beta], **kw)
+    return _op_check(
+        seed, [((2, 4, 6), "x"), ((4,), "gamma", 0.5, 1.5), ((4,), "beta")],
+        (2, 4, 6), lambda x, g, b: kernel.batch_norm1d(x, g, b, state, train=True),
+        kernel.batch_norm1d_backward, **kw)
 
 
 def _module_check(build, shape, seed, **kw):
     rng = np.random.default_rng(seed)
     module = build(rng)
     x = _p(rng, shape, "x")
-    r = _projection_loss(rng, module.forward(x.value).shape)
+    r = rng.uniform(-1.0, 1.0, module.forward(x.value).shape)
 
     def fn():
         out = module.forward(x.value, train=True)
@@ -171,7 +127,7 @@ def check_aff(seed, **kw):
     rng = np.random.default_rng(seed)
     aff = Aff(SMALL_PYRAMID, rng)
     xs = [_p(rng, (1, 8, 12), f"x{i}") for i in range(len(SMALL_PYRAMID.scales))]
-    r = _projection_loss(rng, (1, 8, 12))
+    r = rng.uniform(-1.0, 1.0, (1, 8, 12))
 
     def fn():
         fused, _ = aff.forward([p.value for p in xs], train=True)
@@ -226,14 +182,8 @@ def check_topk_bce(seed, **kw):
     frac = 0.25
 
     def fn():
-        n, t = logits.value.shape
-        k = L.topk_count(t, frac)
-        video = np.zeros(n)
-        sets = []
-        for i in range(n):
-            idx = L.topk_indices(logits.value[i], k)
-            sets.append(idx)
-            video[i] = logits.value[i, idx].mean()
+        sets = L.topk_rows(logits.value, np.ones(logits.value.shape), frac)
+        video = np.array([row[idx].mean() for row, idx in zip(logits.value, sets)])
         loss, d_v = L.video_cls_loss(video, labels)
         for i, idx in enumerate(sets):
             logits.grad[i, idx] += d_v[i] / len(idx)

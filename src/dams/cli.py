@@ -4,7 +4,8 @@ Exit codes (machine-readable error categories):
     0  success
     2  configuration error (bad config file, bad flag combination)
     3  missing input path
-    4  file-format error (feature files, checkpoints, manifests, score CSVs)
+    4  file-format error (feature files, checkpoints, manifests, score CSVs,
+       a directory given as a file or a file as a directory)
     5  numeric failure (non-finite loss, failed gradient check, undefined metric)
 """
 
@@ -33,7 +34,8 @@ from .losses import NonFiniteLossError
 from .metrics import UndefinedMetricError
 from .model import ModelConfig
 from .plotting import render_score_svg
-from .trainer import (TrainConfig, config_from_dict, config_to_dict, evaluate,
+from .trainer import (ABLATION_VARIANTS, TrainConfig, apply_variant,
+                      config_from_dict, config_to_dict, evaluate,
                       load_model_for_inference, score_video, train)
 
 EXIT_OK = 0
@@ -86,17 +88,11 @@ def _load_train_config(args, records):
         over["max_iterations"] = args.iters
     if args.batch_size is not None:
         over["batch_size"] = args.batch_size
-    if args.no_l_pse:
-        over["use_l_pse"] = False
-    if args.no_l_trip:
-        over["use_l_trip"] = False
-    model_over = {}
-    for switch in ("amtpn", "cbam", "ca", "sa", "aff", "tce", "tpp"):
-        if getattr(args, f"no_{switch}"):
-            model_over[f"use_{switch}"] = False
-    if model_over:
-        over["model"] = dataclasses.replace(cfg.model, **model_over)
-    return dataclasses.replace(cfg, **over) if over else cfg
+    cfg = dataclasses.replace(cfg, **over) if over else cfg
+    for name, switches in ABLATION_VARIANTS.items():
+        if getattr(args, name, False):
+            cfg = apply_variant(cfg, switches)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +115,9 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        # caught here rather than when the checkpoints are written, after training
+        raise FileExistsError(f"--out {args.out}: exists and is not a directory")
     records = load_dataset(args.dataset)
     cfg = _load_train_config(args, records)
     if cfg.model.input_dim != records[0].input_dim:
@@ -287,11 +286,11 @@ def build_parser():
     p.add_argument("--batch-size", type=int)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--resume", help="checkpoint to continue from")
-    for switch in ("amtpn", "cbam", "ca", "sa", "aff", "tce", "tpp",
-                   "l-pse", "l-trip"):
-        p.add_argument(f"--no-{switch}", action="store_true",
-                       dest=f"no_{switch.replace('-', '_')}",
-                       help=f"ablation: disable {switch}")
+    for name in ABLATION_VARIANTS:
+        if name != "full":
+            switch = name.removeprefix("no_").replace("_", "-")
+            p.add_argument(f"--no-{switch}", action="store_true", dest=name,
+                           help=f"ablation: disable {switch}")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="frame-level AUC/AP report for a checkpoint")
@@ -346,6 +345,10 @@ def main(argv=None):
     except FeatureFileError as exc:
         kind = "format" if exc.code == "format" else f"format:{exc.code}"
         print(f"error: {kind}: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # a directory given where a file belongs, or a file where a directory does
+        print(f"error: format: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (NonFiniteLossError, GradCheckAborted, UndefinedMetricError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

@@ -12,6 +12,13 @@ forward calls in exact reverse order; `backward` pops the most recent cache.
 `Sequential` is the one place that mirror is written, so a chain such as a
 pyramid branch (`AvgPool1d` -> `Conv1d` -> `BatchNorm1d` -> `Relu`) or a
 gating MLP is declared once, as its list of children.
+
+A composite module's parameters and persistent state come from its
+attribute tree: `children()` lists the layers held in its public attributes
+in assignment order, and `params()` / `state_arrays()` concatenate theirs.
+Assignment order is therefore parameter order (what Adam and the gradient
+checks index into); a child set to `None` takes no part. Only the leaves
+that own parameters or state list them explicitly.
 """
 
 from __future__ import annotations
@@ -45,17 +52,25 @@ class Layer:
             p.grad += g
         return dx
 
+    def children(self):
+        """The `Layer`s held in public attributes, in assignment order; a
+        list attribute gives its layers in list order, and `None` is skipped."""
+        found = []
+        for name, value in vars(self).items():
+            if name.startswith("_"):
+                continue
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, Layer):
+                    found.append(v)
+        return found
+
     def params(self):
-        return []
+        return [p for child in self.children() for p in child.params()]
 
     def state_arrays(self):
         """Name -> live array of persistent non-parameter state."""
-        return {}
-
-
-def merged_state(layers):
-    """The union of the `state_arrays()` of `layers`, in order."""
-    return {k: v for layer in layers for k, v in layer.state_arrays().items()}
+        return {k: v for child in self.children()
+                for k, v in child.state_arrays().items()}
 
 
 class Sequential(Layer):
@@ -74,12 +89,6 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             g = layer.backward(g)
         return g
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
-    def state_arrays(self):
-        return merged_state(self.layers)
 
 
 class Conv1d(Layer):

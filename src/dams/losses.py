@@ -99,20 +99,13 @@ def topk_count(t, fraction):
     return max(1, math.ceil(fraction * t))
 
 
-def topk_indices(values, k):
-    """Indices of the k largest values; ties go to the earlier frame."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.lexsort((np.arange(values.shape[0]), -values))
-    return order[:k]
-
-
 def topk_rows(values, mask, fraction):
     """Per row of `values` [B, T], the indices of its topk_count(valid,
     fraction) largest frames, `valid` being the row's mask sum; masked frames
     rank last and ties go to the earlier frame.
 
-    One lexsort over the whole matrix gives each row the order that
-    `topk_indices` gives it with its masked frames set to -inf.
+    One lexsort over the whole matrix sorts each row by descending value,
+    then by frame; masked frames enter it as -inf.
     """
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask)
@@ -126,8 +119,8 @@ def topk_rows(values, mask, fraction):
 def topk_video_score(frame_scores, fraction):
     """Mean of the ceil(fraction * T) largest frame scores."""
     values = np.asarray(frame_scores, dtype=np.float64)
-    k = topk_count(values.shape[0], fraction)
-    return float(values[topk_indices(values, k)].mean())
+    top, = topk_rows(values[None], np.ones((1, values.shape[0])), fraction)
+    return float(values[top].mean())
 
 
 def video_cls_loss(video_logits, labels):

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel
 from .amtpn import Amtpn, ConfigError, PyramidConfig
 from .cbam import Cbam, CbamConfig
-from .layers import BatchNorm1d, Conv1d, Layer, Relu, Sequential, merged_state
+from .layers import BatchNorm1d, Conv1d, Layer, Relu, Sequential
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -108,12 +108,6 @@ class Backbone(Layer):
             g = g + block.backward(g)
         return self.proj.backward(g, need_dx)
 
-    def params(self):
-        return self.proj.params() + [p for b in self.blocks for p in b.params()]
-
-    def state_arrays(self):
-        return merged_state(self.blocks)
-
 
 class Head(Sequential):
     """Per-frame classifier: conv1x1 C->H, ReLU, conv1x1 H->1."""
@@ -182,17 +176,10 @@ class DamsModel(Layer):
             g = self.amtpn.backward(g)
         self.backbone.backward(g, need_dx=False)
 
-    def _modules(self):
-        return [m for m in (self.backbone, self.amtpn, self.cbam, self.head)
-                if m is not None]
-
-    def params(self):
-        return [p for m in self._modules() for p in m.params()]
-
     def state_arrays(self):
         """All persistent arrays: parameters plus BN running statistics."""
         out = {p.name: p.value for p in self.params()}
-        out.update(merged_state(self._modules()))
+        out.update(super().state_arrays())
         return out
 
 

@@ -27,7 +27,7 @@ from .amtpn import ConfigError
 from .data import (Batch, FeatureFileError, batch_iter, read_container,
                    tencrop_aggregate, write_container)
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
-from .metrics import average_precision, roc_auc
+from .metrics import UndefinedMetricError, average_precision, roc_auc
 from .model import DamsModel, ModelConfig
 
 log = logging.getLogger("dams")
@@ -316,7 +316,8 @@ def evaluate(model: DamsModel, records, ablation=None) -> EvalReport:
     """Frame-level AUC/AP over every video carrying ground truth.
 
     Videos are scored one at a time (no cross-video padding) so border
-    frames see only their own video.
+    frames see only their own video. With no ground truth at all both
+    metrics are undefined: `UndefinedMetricError`.
     """
     per_video = []
     all_scores = []
@@ -330,7 +331,7 @@ def evaluate(model: DamsModel, records, ablation=None) -> EvalReport:
             all_gt.append(rec.frame_gt)
         per_video.append(row)
     if not all_gt:
-        raise ConfigError("evaluate: no video carries frame ground truth")
+        raise UndefinedMetricError("evaluate: no video carries frame ground truth")
     scores = np.concatenate(all_scores)
     gt = np.concatenate(all_gt)
     return EvalReport(roc_auc(scores, gt), average_precision(scores, gt),

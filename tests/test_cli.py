@@ -12,8 +12,9 @@ from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
 from dams.data import load_dataset
 from dams.metrics import average_precision, roc_auc
-from dams.trainer import (EvalReport, load_checkpoint, load_model_for_inference,
-                          save_checkpoint, score_video)
+from dams.trainer import (ABLATION_VARIANTS, EvalReport, apply_variant,
+                          config_from_dict, config_hash, load_checkpoint,
+                          load_model_for_inference, save_checkpoint, score_video)
 
 SMALL_MODEL_JSON = {
     "model": {"input_dim": 6, "channels": 8, "depth": 1, "head_hidden": 4,
@@ -152,6 +153,19 @@ class TestTrain:
         _, meta = load_checkpoint(run / "checkpoint_final.ckpt")
         assert meta["config"]["model"]["use_amtpn"] is False
 
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_ablation_flag_is_its_variant(self, tmp_path, dataset, variant):
+        cfg = write_config(tmp_path, max_iterations=0)
+        flags = [] if variant == "full" else [
+            "--" + variant.replace("_", "-")]
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(dataset), "--out", str(run),
+                     "--config", cfg] + flags) == EXIT_OK
+        _, meta = load_checkpoint(run / "checkpoint_final.ckpt")
+        want = apply_variant(config_from_dict(json.loads(Path(cfg).read_text())),
+                             ABLATION_VARIANTS[variant])
+        assert meta["config_hash"] == config_hash(want)
+
 
 def evaluate_reference(model, records):
     """`evaluate` with its per-element row conversions."""
@@ -258,6 +272,52 @@ class TestEvalScorePlot:
         code = main(["eval", "--dataset", str(dataset),
                      "--checkpoint", str(bad)])
         assert code == EXIT_FORMAT
+
+    @pytest.mark.parametrize("argv", [
+        ["plot", "--scores", "WRONG", "--out", "OUT"],
+        ["eval", "--dataset", "DS", "--checkpoint", "CKPT", "--out", "WRONG"],
+        ["eval", "--dataset", "DS", "--checkpoint", "CKPT", "--csv", "WRONG"],
+        ["score", "--dataset", "DS", "--checkpoint", "CKPT", "--out", "WRONG"],
+        ["train", "--dataset", "DS", "--out", "WRONG"],
+        ["synth", "--out", "WRONG"] + SYNTH_ARGS,
+    ], ids=["plot-scores-dir", "eval-out-dir", "eval-csv-dir", "score-out-dir",
+            "train-out-file", "synth-out-file"])
+    def test_path_of_the_wrong_kind_exit_code(self, tmp_path, dataset, trained,
+                                              capsys, argv):
+        wrong = tmp_path / "wrong"
+        if argv[0] in ("train", "synth"):
+            wrong.write_text("")
+        else:
+            wrong.mkdir()
+        paths = {"WRONG": wrong, "OUT": tmp_path / "out", "DS": dataset,
+                 "CKPT": trained / "checkpoint_final.ckpt"}
+        capsys.readouterr()
+        assert main([str(paths.get(a, a)) for a in argv]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error: format: ") and str(wrong) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, code", [
+        ("eval", EXIT_NUMERIC), ("train", EXIT_NUMERIC), ("score", EXIT_OK)])
+    def test_dataset_without_frame_gt_exit_code(self, tmp_path, dataset, trained,
+                                                capsys, command, code):
+        manifest = dataset / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for row in rows:
+            del row["frame_gt"]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = [command, "--dataset", str(dataset)]
+        if command == "train":  # validates at iteration 2
+            argv += ["--config", write_config(tmp_path), "--out", str(tmp_path / "r")]
+        else:
+            argv += ["--checkpoint", str(trained / "checkpoint_final.ckpt")]
+        if command == "score":
+            argv += ["--out", str(tmp_path / "scores.csv")]
+        capsys.readouterr()
+        assert main(argv) == code
+        if code == EXIT_NUMERIC:
+            assert capsys.readouterr().err.startswith(
+                "error: numeric: evaluate: no video carries frame ground truth")
 
     def test_checkpoint_without_meta_exit_code(self, tmp_path, dataset):
         bare = tmp_path / "bare.ckpt"

@@ -119,10 +119,17 @@ class TestTopK:
         assert L.topk_count(20, 0.25) == 5
 
     def test_tie_goes_to_earlier_frame(self):
-        idx = L.topk_indices(np.asarray([0.5, 0.9, 0.9, 0.1]), 1)
+        ones = np.ones((1, 4))
+        idx, = L.topk_rows(np.asarray([[0.5, 0.9, 0.9, 0.1]]), ones, 0.25)
         assert list(idx) == [1]
-        idx = L.topk_indices(np.asarray([0.9, 0.5, 0.9, 0.1]), 2)
+        idx, = L.topk_rows(np.asarray([[0.9, 0.5, 0.9, 0.1]]), ones, 0.5)
         assert sorted(idx) == [0, 2]
+
+    def test_video_score_matches_reference(self):
+        for row in tied_values((6, 40)):
+            for fraction in (0.005, 0.1, 0.5, 1.0):
+                top = topk_indices(row, L.topk_count(40, fraction))
+                assert L.topk_video_score(row, fraction) == row[top].mean()
 
     def test_monotone_in_scores(self):
         scores = rng(1).random(12)
@@ -133,13 +140,19 @@ class TestTopK:
             assert L.topk_video_score(bumped, 0.3) >= base
 
 
+def topk_indices(values, k):
+    """Reference: indices of the k largest values, ties to the earlier frame."""
+    order = np.lexsort((np.arange(values.shape[0]), -values))
+    return order[:k]
+
+
 def topk_rows_loop(values, mask, fraction):
     """Reference: the per-row top-k that `topk_rows` replaced."""
     out = []
     for i in range(values.shape[0]):
         valid = int(mask[i].sum())
         masked = np.where(mask[i] > 0, values[i], -np.inf)
-        out.append(L.topk_indices(masked, L.topk_count(valid, fraction)))
+        out.append(topk_indices(masked, L.topk_count(valid, fraction)))
     return out
 
 
@@ -151,7 +164,7 @@ def anchor_loop(frame_scores, labels, mask, fraction):
         if valid < 1:
             continue
         masked = np.where(mask[b] > 0, frame_scores[b], -np.inf)
-        top = L.topk_indices(masked, L.topk_count(valid, fraction))
+        top = topk_indices(masked, L.topk_count(valid, fraction))
         videos.append(np.full(len(top), b))
         times.append(top)
     return np.concatenate(videos), np.concatenate(times)

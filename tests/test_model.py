@@ -11,6 +11,7 @@ from dams.checks import SMALL_MODEL
 from dams.model import (Backbone, ClipPathConfig, DamsModel,
                         DegenerateEmbeddingError, ModelConfig,
                         clip_binary_probs, clip_scores, pseudo_labels)
+from dams.trainer import ABLATION_VARIANTS, TrainConfig, apply_variant
 
 SMALL = ModelConfig(input_dim=16, channels=8, depth=1, head_hidden=4,
                     pyramid=PyramidConfig(scales=(1, 3), channels=8,
@@ -165,6 +166,63 @@ class TestParameterOrder:
             "084a6cd31fe84b44d8dfb87160f706299d8915e91e86118e2445dd8631699fb3")
         assert _sha256_lines(model.state_arrays()) == (
             "d3a5c432155c98919ceeb4b68d22622f82c87a41d5bcdcb0069213fbaa99d3fd")
+
+    # (model, variant) -> (params() count, state_arrays() count, SHA-256 of
+    # the state keys, which start with the parameter names in order)
+    VARIANT_TREES = {
+        ("default", "full"): (48, 60,
+            "d3a5c432155c98919ceeb4b68d22622f82c87a41d5bcdcb0069213fbaa99d3fd"),
+        ("default", "no_amtpn"): (20, 24,
+            "650cbd60baeea01fb679bec010c7a3328c96b1d1818f04744096add7038e8f84"),
+        ("default", "no_cbam"): (42, 54,
+            "b56f0989d17f9d322833855d56088f6e19f21d8e97fb920e1a35d47d6757be49"),
+        ("default", "no_ca"): (44, 56,
+            "e70deeb2e4c091de6c134ce8dc343ba9e7f7a897d5d4881b26c0a4d46906da01"),
+        ("default", "no_sa"): (46, 58,
+            "b01a2822d24924d560701e9b964fb8dc3751b066abdca6fd64a43b09926ab6aa"),
+        ("default", "no_aff"): (42, 54,
+            "33397c97d6f51be965a4337b225133b1e80ebde0b5e33b5148f91469550c5083"),
+        ("default", "no_tce"): (44, 56,
+            "1fc3881b0e6219b30987883bf3d29260f6b6abace8bcd19f31eee78b1da72648"),
+        ("default", "no_tpp"): (36, 42,
+            "64248875379b9cd9dbd86591d1604a0874a18f3d7944046fbfb21bf1854ee812"),
+        ("default", "no_l_pse"): (48, 60,
+            "d3a5c432155c98919ceeb4b68d22622f82c87a41d5bcdcb0069213fbaa99d3fd"),
+        ("default", "no_l_trip"): (48, 60,
+            "d3a5c432155c98919ceeb4b68d22622f82c87a41d5bcdcb0069213fbaa99d3fd"),
+        ("small", "full"): (36, 42,
+            "faebf3eb70bf0ee5c26b55064d8d33334f3ab213f7a1d0448f71bd450a3a927d"),
+        ("small", "no_amtpn"): (16, 18,
+            "ac42514d2ed9b982ec87a37d534a5de9e8115df7fa9b93e41195cb8204d4929b"),
+        ("small", "no_cbam"): (30, 36,
+            "04b9af1433c695288aebe014951561d6cf3a78e53db457e6a04d744989acb175"),
+        ("small", "no_ca"): (32, 38,
+            "cb32ba107668a111491d7767dfcf26a0548e176810914f1dd0297a303c6f2d9a"),
+        ("small", "no_sa"): (34, 40,
+            "45ec1c6f1f5dac8bfec2db470806f1aa2c638e6f5faf8a4934a75e7fd29d9e76"),
+        ("small", "no_aff"): (30, 36,
+            "4cfe175efcb6ac297605ad8fb836a79f7b383ab1783e802ea190dad1a0011476"),
+        ("small", "no_tce"): (32, 38,
+            "99aba8d37c79a025faac312432b72e0afe2bead7a7271f125ec5de826e1e8354"),
+        ("small", "no_tpp"): (32, 36,
+            "c3c0194ee667e2efdca724cc74c6fc0b6eea2305ddbfc621313cb7e6379e09f2"),
+        ("small", "no_l_pse"): (36, 42,
+            "faebf3eb70bf0ee5c26b55064d8d33334f3ab213f7a1d0448f71bd450a3a927d"),
+        ("small", "no_l_trip"): (36, 42,
+            "faebf3eb70bf0ee5c26b55064d8d33334f3ab213f7a1d0448f71bd450a3a927d"),
+    }
+
+    @pytest.mark.parametrize("model_name", ["default", "small"])
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_variant_tree(self, model_name, variant):
+        base = {"default": ModelConfig(), "small": SMALL_MODEL}[model_name]
+        cfg = apply_variant(TrainConfig(model=base), ABLATION_VARIANTS[variant])
+        model = DamsModel(cfg.model, rng(0))
+        names = [p.name for p in model.params()]
+        state = list(model.state_arrays())
+        assert state[:len(names)] == names
+        assert (len(names), len(state), _sha256_lines(state)) == (
+            self.VARIANT_TREES[model_name, variant])
 
 
 class TestClipScores:
