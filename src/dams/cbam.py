@@ -47,23 +47,19 @@ class ChannelAttention(Layer):
 
     def forward(self, f, train=False):
         z_avg, gap_cache = kernel.global_avg_pool(f)
-        arg = f.argmax(axis=2)
-        z_max = np.take_along_axis(f, arg[:, :, None], axis=2)[:, :, 0]
+        z_max, max_cache = kernel.max_pool1d(f, f.shape[2])  # [B, C, 1]
         m = self.gate.forward(self.mlp.forward(z_avg, train)
-                              + self.mlp.forward(z_max, train), train)
-        return self._record(train, m[:, :, None], (gap_cache, arg))
+                              + self.mlp.forward(z_max[:, :, 0], train), train)
+        return self._record(train, m[:, :, None], (gap_cache, max_cache))
 
     def backward(self, g_m):
-        gap_cache, arg = self._caches.pop()
-        B, C, _ = gap_cache
+        gap_cache, max_cache = self._caches.pop()
         g_logits = self.gate.backward(g_m[:, :, 0])
         # pop order mirrors forward: max branch was applied second
         g_zmax = self.mlp.backward(g_logits)
         g_zavg = self.mlp.backward(g_logits)
         g_f = kernel.global_avg_pool_backward(g_zavg, gap_cache)
-        bi = np.arange(B)[:, None]
-        ci = np.arange(C)[None, :]
-        g_f[bi, ci, arg] += g_zmax
+        g_f += kernel.max_pool1d_backward(g_zmax[:, :, None], max_cache)
         return g_f
 
 

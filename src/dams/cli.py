@@ -118,6 +118,8 @@ def cmd_train(args):
     if Path(args.out).exists() and not Path(args.out).is_dir():
         # caught here rather than when the checkpoints are written, after training
         raise FileExistsError(f"--out {args.out}: exists and is not a directory")
+    if not 0.0 <= args.val_fraction < 1.0:
+        raise ConfigError(f"--val-fraction must lie in [0, 1), got {args.val_fraction}")
     records = load_dataset(args.dataset)
     cfg = _load_train_config(args, records)
     if cfg.model.input_dim != records[0].input_dim:
@@ -220,6 +222,8 @@ def cmd_plot(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0 or args.num_seeds < 1 or args.entries < 1:
+        raise ConfigError("--seed must be >= 0, --num-seeds and --entries >= 1")
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
     results = run_suite(seeds=seeds, tolerance=args.tolerance,
                         max_entries_per_param=args.entries)

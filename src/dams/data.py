@@ -161,6 +161,8 @@ class VideoRecord:
         if not self.crops:
             raise ConfigError(f"{self.id}: needs at least one crop")
         shape = self.crops[0].shape
+        if len(shape) != 2:
+            raise ConfigError(f"{self.id}: a crop must be [Din, T], got shape {shape}")
         if any(c.shape != shape for c in self.crops):
             raise ConfigError(f"{self.id}: crops disagree on shape")
         t = shape[1]
@@ -294,6 +296,8 @@ class SyntheticSpec:
                               f"got {self.anomaly_durations!r}")
         if not self.smoothing < 1.0:  # NaN fails too; <= 0 means white noise
             raise ConfigError("smoothing must be < 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def anomaly_directions(spec: SyntheticSpec):

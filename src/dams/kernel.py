@@ -35,7 +35,8 @@ tests/test_kernel.py):
     over (B, T): one sum divided by the count, the centred input computed
     once for the variance and xhat. Its backward keeps the reference
     operation order inv_std * ((dxhat - s1/n) - (xhat*s2)/n) and the layout
-    of dx that order gives for any layouts of x and g.
+    of dx that order gives for any layouts of x and g. Eval mode normalizes
+    with the running statistics and keeps no backward cache.
 """
 
 from __future__ import annotations
@@ -357,18 +358,18 @@ def batch_norm1d(x, gamma, beta, state, train):
     over (B, T): one sum divided by the count, and the centred input, whose
     squares summed and divided by the count give the variance and which,
     scaled in place, is xhat. Evaluation normalizes with the running
-    statistics in one buffer; its cache keeps the input instead of xhat.
+    statistics in one buffer and returns no cache: nothing back-propagates
+    through eval mode.
     """
     B, C, T = x.shape
     n = B * T
     if not train:
-        mean = state.running_mean[None, :, None].copy()
         inv_std = 1.0 / np.sqrt(state.running_var[None, :, None] + state.eps)
-        out = x - mean
+        out = x - state.running_mean[None, :, None]
         out *= inv_std
         out *= gamma[None, :, None]
         out += beta[None, :, None]
-        return out, (x, mean, inv_std, gamma, n, train)
+        return out, None
     if n < 2:
         raise DegenerateBatchError(f"batch_norm1d: B*T = {n} < 2")
     mean = x.sum(axis=(0, 2), keepdims=True)
@@ -388,21 +389,16 @@ def batch_norm1d(x, gamma, beta, state, train):
     xhat *= inv_std
     out = xhat * gamma[None, :, None]
     out += beta[None, :, None]
-    return out, (xhat, None, inv_std, gamma, n, train)
+    return out, (xhat, inv_std, gamma, n)
 
 
 def batch_norm1d_backward(g, cache):
-    xhat, mean, inv_std, gamma, n, train = cache
-    if not train:  # the cache holds the input: rebuild xhat as the forward did
-        xhat = xhat - mean
-        xhat *= inv_std
+    """The backward of a training-mode `batch_norm1d`."""
+    xhat, inv_std, gamma, n = cache
     buf = g * xhat
     dgamma = buf.sum(axis=(0, 2))
     dbeta = g.sum(axis=(0, 2))
     dxhat = g * gamma[None, :, None]
-    if not train:
-        dxhat *= inv_std
-        return dxhat, dgamma, dbeta
     s1 = dxhat.sum(axis=(0, 2), keepdims=True)
     s2 = np.multiply(dxhat, xhat, out=buf).sum(axis=(0, 2), keepdims=True)
     del buf

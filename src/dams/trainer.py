@@ -12,6 +12,7 @@ import ctypes
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -68,6 +69,8 @@ class TrainConfig:
             raise ConfigError("Adam betas must lie in (0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.pseudo_threshold < 1.0:
             raise ConfigError("pseudo_threshold must lie in (0, 1)")
         if self.loss is None:
@@ -121,15 +124,8 @@ def config_from_dict(d, cls=TrainConfig, path="config"):
 
 
 def config_to_dict(cfg):
-    d = dataclasses.asdict(cfg)
-
-    def _clean(v):
-        if isinstance(v, tuple):
-            return [_clean(x) for x in v]
-        if isinstance(v, dict):
-            return {k: _clean(x) for k, x in v.items()}
-        return v
-    return _clean(d)
+    # tuples stay tuples: json writes them as arrays, config_from_dict takes both
+    return dataclasses.asdict(cfg)
 
 
 def config_hash(cfg):
@@ -296,13 +292,9 @@ class EvalReport:
     auc: float
     ap: float
     per_video: list     # {"id", "scores", "gt"?}
-    ablation: str = None
 
     def to_dict(self):
-        d = {"auc": self.auc, "ap": self.ap, "per_video": self.per_video}
-        if self.ablation is not None:
-            d["ablation"] = self.ablation
-        return d
+        return {"auc": self.auc, "ap": self.ap, "per_video": self.per_video}
 
 
 def score_video(model: DamsModel, record):
@@ -312,7 +304,7 @@ def score_video(model: DamsModel, record):
     return tencrop_aggregate(list(out.frame_scores))
 
 
-def evaluate(model: DamsModel, records, ablation=None) -> EvalReport:
+def evaluate(model: DamsModel, records) -> EvalReport:
     """Frame-level AUC/AP over every video carrying ground truth.
 
     Videos are scored one at a time (no cross-video padding) so border
@@ -335,7 +327,7 @@ def evaluate(model: DamsModel, records, ablation=None) -> EvalReport:
     scores = np.concatenate(all_scores)
     gt = np.concatenate(all_gt)
     return EvalReport(roc_auc(scores, gt), average_precision(scores, gt),
-                      per_video, ablation)
+                      per_video)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +372,6 @@ class TrainResult:
     history: list
     best_auc: float
     best_iteration: int
-    final_checkpoint: str = None
-    best_checkpoint: str = None
 
 
 def _log_line(entry):
@@ -395,8 +385,11 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     Every `validate_every` iterations the validation split is scored (eval
     mode; parameters and optimizer untouched) and the best-AUC state is
     retained. The returned history is the exact content of log.jsonl.
+    Training batches are collated one at a time, as each step takes them.
     The first call in a process sets the heap policy of `_keep_heap_mapped`.
     """
+    if not train_records:
+        raise ConfigError("train: no training videos")
     _keep_heap_mapped()
     model, weights = build_model(cfg)
     params = model.params() + weights.params()
@@ -427,20 +420,15 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
         if best_auc < 0.0:
             best_auc, best_iteration, best_state = -math.inf, -1, None
 
-    batches_per_epoch = max(1, math.ceil(len(train_records) / cfg.batch_size))
-    epoch_cache = {}
-
-    def batch_at(it):
-        epoch = it // batches_per_epoch
-        if epoch not in epoch_cache:
-            epoch_cache.clear()
-            epoch_cache[epoch] = list(batch_iter(
-                train_records, cfg.batch_size, cfg.seed, "train", epoch))
-        return epoch_cache[epoch][it % batches_per_epoch]
+    # iteration i takes batch i % per_epoch of epoch i // per_epoch
+    epoch, skip = divmod(start_iter, math.ceil(len(train_records) / cfg.batch_size))
+    batches = itertools.islice(itertools.chain.from_iterable(
+        batch_iter(train_records, cfg.batch_size, cfg.seed, "train", e)
+        for e in itertools.count(epoch)), skip, None)
 
     history = []
-    for it in range(start_iter, cfg.max_iterations):
-        batch = batch_at(it)
+    # the range comes first, so zip collates no batch past the budget
+    for it, batch in zip(range(start_iter, cfg.max_iterations), batches):
         kernel.zero_grads(params)
         try:
             breakdown = train_step(model, weights, batch, cfg, it)
@@ -468,8 +456,6 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     if best_state is None:
         best_state = snapshot_state()
         best_iteration = cfg.max_iterations
-        if val_records is not None and cfg.max_iterations == 0:
-            best_auc = -math.inf
 
     result = TrainResult(model, weights, history, best_auc, best_iteration)
     if out_dir is not None:
@@ -482,15 +468,12 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
                 "config": config_to_dict(cfg), "config_hash": cfg_hash}
         arrays = _all_state(model, weights, opt)
         arrays.update({f"best/{k}": v for k, v in best_state.items()})
-        final_path = out_dir / "checkpoint_final.ckpt"
-        save_checkpoint(final_path, arrays, meta)
-        best_path = out_dir / "checkpoint_best.ckpt"
-        save_checkpoint(best_path, best_state, dict(meta, iteration=best_iteration))
+        save_checkpoint(out_dir / "checkpoint_final.ckpt", arrays, meta)
+        save_checkpoint(out_dir / "checkpoint_best.ckpt", best_state,
+                        dict(meta, iteration=best_iteration))
         with open(out_dir / "log.jsonl", "w", encoding="utf-8") as fh:
             for entry in history:
                 fh.write(_log_line(entry) + "\n")
-        result.final_checkpoint = str(final_path)
-        result.best_checkpoint = str(best_path)
     return result
 
 
@@ -502,8 +485,7 @@ def load_model_for_inference(path):
     except ConfigError as exc:  # the file, not the run, is at fault
         raise FeatureFileError(f"{path}: checkpoint meta: {exc}") from exc
     model, weights = build_model(cfg)
-    prefix = "" if "uncertainty.rho" in arrays else "best/"
-    _restore_state(arrays, _all_state(model, weights), prefix)
+    _restore_state(arrays, _all_state(model, weights))
     return model, cfg, meta
 
 
@@ -545,7 +527,7 @@ def ablate(cfg: TrainConfig, train_records, val_records, variants=None,
         for seed in seeds:
             vcfg = dataclasses.replace(apply_variant(cfg, switches), seed=seed)
             result = train(vcfg, train_records, val_records)
-            report = evaluate(result.model, val_records, ablation=name)
+            report = evaluate(result.model, val_records)
             aucs.append(report.auc)
             aps.append(report.ap)
         rows.append({"variant": name,

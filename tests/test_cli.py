@@ -10,7 +10,7 @@ import pytest
 
 from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
-from dams.data import load_dataset
+from dams.data import load_dataset, write_feature_file
 from dams.metrics import average_precision, roc_auc
 from dams.trainer import (ABLATION_VARIANTS, EvalReport, apply_variant,
                           config_from_dict, config_hash, load_checkpoint,
@@ -66,6 +66,14 @@ class TestSynth:
         assert (dataset / "manifest.jsonl").is_file()
         assert (dataset / "spec.json").is_file()
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]
+                    + SYNTH_ARGS)
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained):
@@ -80,29 +88,32 @@ class TestTrain:
                      "--out", str(tmp_path / "r"), "--config", cfg])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"model": dict(SMALL_MODEL_JSON["model"], input_dim=32)},
+    @pytest.mark.parametrize("overrides, flags, message", [
+        ({"model": dict(SMALL_MODEL_JSON["model"], input_dim=32)}, [],
          "model.input_dim 32 differs"),
-        ({"seed": 1.5}, "config.seed: expected an integer"),
-        ({"batch_size": True}, "config.batch_size: expected an integer"),
-        ({"learning_rate": "fast"}, "config.learning_rate: expected a number"),
-        ({"model": dict(SMALL_MODEL_JSON["model"], use_cbam="no")},
+        ({"seed": 1.5}, [], "config.seed: expected an integer"),
+        ({"batch_size": True}, [], "config.batch_size: expected an integer"),
+        ({"learning_rate": "fast"}, [], "config.learning_rate: expected a number"),
+        ({"model": dict(SMALL_MODEL_JSON["model"], use_cbam="no")}, [],
          "config.model.use_cbam: expected a boolean"),
         ({"model": dict(SMALL_MODEL_JSON["model"],
-                        pyramid={"scales": 3, "channels": 8})},
+                        pyramid={"scales": 3, "channels": 8})}, [],
          "config.model.pyramid.scales: expected a list of integers"),
         ({"model": dict(SMALL_MODEL_JSON["model"],
-                        pyramid={"scales": [1, 2.5], "channels": 8})},
+                        pyramid={"scales": [1, 2.5], "channels": 8})}, [],
          "config.model.pyramid.scales: expected a list of integers"),
-        ({"loss": [0.5]}, "config.loss: expected an object"),
+        ({"loss": [0.5]}, [], "config.loss: expected an object"),
+        ({"seed": -5}, [], "seed must be >= 0, got -5"),
+        ({}, ["--seed", "-5"], "seed must be >= 0, got -5"),
     ], ids=["input-dim", "float-seed", "bool-batch-size", "string-float",
-            "string-bool", "int-scales", "float-scale", "list-loss"])
+            "string-bool", "int-scales", "float-scale", "list-loss",
+            "negative-seed", "negative-seed-flag"])
     def test_config_fault_exit_code(self, tmp_path, dataset, capsys,
-                                    overrides, message):
+                                    overrides, flags, message):
         cfg = write_config(tmp_path, **overrides)
         capsys.readouterr()
         code = main(["train", "--dataset", str(dataset),
-                     "--out", str(tmp_path / "r"), "--config", cfg])
+                     "--out", str(tmp_path / "r"), "--config", cfg] + flags)
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
@@ -138,6 +149,33 @@ class TestTrain:
         assert code == EXIT_FORMAT
         assert capsys.readouterr().err.startswith(
             f"error: format: {dataset / 'manifest.jsonl'}: no video rows")
+
+    @pytest.mark.parametrize("fraction, message", [
+        ("2", "--val-fraction must lie in [0, 1)"),
+        ("1", "--val-fraction must lie in [0, 1)"),
+        ("0.95", "train: no training videos"),
+    ], ids=["above-one", "one", "rounds-to-all"])
+    def test_split_without_training_video_exit_code(self, tmp_path, dataset,
+                                                    capsys, fraction, message):
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(dataset), "--out",
+                     str(tmp_path / "r"), "--config", write_config(tmp_path),
+                     "--val-fraction", fraction])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 8)], ids=["rank-1", "rank-3"])
+    def test_crop_not_din_by_t_exit_code(self, tmp_path, dataset, capsys,
+                                         shape):
+        manifest = dataset / "manifest.jsonl"
+        row = json.loads(manifest.read_text().splitlines()[1])
+        write_feature_file(dataset / row["feature_files"][0], np.ones(shape))
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(dataset),
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_FORMAT
+        assert f"{manifest}:2: " in capsys.readouterr().err
 
     def test_missing_dataset_exit_code(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nope"),
@@ -446,6 +484,14 @@ class TestGradcheckInfo:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
+
+    @pytest.mark.parametrize("args", [["--entries", "0"], ["--num-seeds", "0"],
+                                      ["--seed", "-1", "--num-seeds", "1"]],
+                             ids=["no-entries", "no-seeds", "negative-seed"])
+    def test_gradcheck_flag_out_of_range_exit_code(self, capsys, args):
+        code = main(["gradcheck"] + args)
+        assert code == EXIT_CONFIG
+        assert "PASS" not in capsys.readouterr().out
 
     def test_info_prints_versions(self, capsys):
         assert main(["info"]) == EXIT_OK

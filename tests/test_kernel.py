@@ -284,25 +284,24 @@ def batch_norm1d_reference(x, gamma, beta, state, train):
     inv_std = 1.0 / np.sqrt(var + state.eps)
     xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
     out = gamma[None, :, None] * xhat + beta[None, :, None]
-    return out, (xhat, inv_std, gamma, B * T, train)
+    return out, (xhat, inv_std, gamma, B * T)
 
 
 def batch_norm1d_backward_reference(g, cache):
-    xhat, inv_std, gamma, n, train = cache
+    """Reference: the backward of training-mode batch norm."""
+    xhat, inv_std, gamma, n = cache
     dgamma = (g * xhat).sum(axis=(0, 2))
     dbeta = g.sum(axis=(0, 2))
     dxhat = g * gamma[None, :, None]
-    if train:
-        s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        dx = inv_std[None, :, None] * (dxhat - s1 / n - xhat * s2 / n)
-    else:
-        dx = dxhat * inv_std[None, :, None]
+    s1 = dxhat.sum(axis=(0, 2), keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
+    dx = inv_std[None, :, None] * (dxhat - s1 / n - xhat * s2 / n)
     return dx, dgamma, dbeta
 
 
 class TestBatchNormBytes:
-    """batch_norm1d and its backward give the reference's bytes and layouts."""
+    """batch_norm1d and its backward give the reference's bytes and layouts;
+    eval mode keeps no backward cache."""
 
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("x_layout", ["c", "cm"])
@@ -323,6 +322,9 @@ class TestBatchNormBytes:
         assert_same_array(out, ref)
         assert_same_array(got_state.running_mean, ref_state.running_mean)
         assert_same_array(got_state.running_var, ref_state.running_var)
+        if not train:
+            assert cache is None
+            return
         g = wide_range(rng, shape, g_layout)
         for got, want in zip(kernel.batch_norm1d_backward(g, cache),
                              batch_norm1d_backward_reference(g, ref_cache)):

@@ -287,19 +287,18 @@ class TestTraining:
         report = evaluate(model, records[:4])
         assert abs(report.auc - result.best_auc) < 1e-12
 
-    def test_inference_load_from_best_prefixed_arrays(self, tmp_path):
+    def test_inference_load_missing_array_names_it(self, tmp_path):
         train(small_config(max_iterations=2), small_records(), out_dir=tmp_path)
-        arrays, meta = load_checkpoint(tmp_path / "checkpoint_final.ckpt")
-        best = {k: v for k, v in arrays.items() if k.startswith("best/")}
-        save_checkpoint(tmp_path / "prefixed.ckpt", best, meta)
-        model, _, _ = load_model_for_inference(tmp_path / "prefixed.ckpt")
-        for name, value in model.state_arrays().items():
-            assert np.array_equal(value, best["best/" + name])
-        missing = sorted(best)[0]
-        del best[missing]
-        save_checkpoint(tmp_path / "missing.ckpt", best, meta)
+        arrays, meta = load_checkpoint(tmp_path / "checkpoint_best.ckpt")
+        missing = sorted(arrays)[0]
+        del arrays[missing]
+        save_checkpoint(tmp_path / "missing.ckpt", arrays, meta)
         with pytest.raises(FeatureFileError, match=re.escape(repr(missing))):
             load_model_for_inference(tmp_path / "missing.ckpt")
+
+    def test_no_training_video_rejected(self):
+        with pytest.raises(ConfigError, match="no training videos"):
+            train(small_config(), [], small_records(4))
 
     def test_resume_missing_best_array_names_it(self, tmp_path):
         records = small_records()
