@@ -14,8 +14,7 @@ from .checks import ALL_CHECKS, run_suite
 from .data import (FeatureFileError, BadMagicError, BadVersionError,
                    ChecksumError, TruncatedFileError, SyntheticSpec,
                    VideoRecord, batch_iter, load_dataset, read_feature_file,
-                   save_dataset, synthesize_dataset, tencrop_aggregate,
-                   write_feature_file)
+                   save_dataset, synthesize_dataset, write_feature_file)
 from .kernel import (DegenerateBatchError, DimensionError, GradCheckAborted,
                      GradCheckReport, Parameter, grad_check)
 from .losses import (EmptyLossError, LossConfig, NonFiniteLossError,

@@ -59,7 +59,7 @@ class Tpp(Layer):
         super().__init__()
         c = cfg.channels
         self.branches = [Sequential(AvgPool1d(s),
-                                    Conv1d(c, c, 1, 0, rng, f"{name}.s{s}.conv"),
+                                    Conv1d(c, c, 1, rng, f"{name}.s{s}.conv"),
                                     BatchNorm1d(c, f"{name}.s{s}.bn"), Relu())
                          for s in cfg.scales]
 
@@ -89,7 +89,7 @@ class Aff(Layer):
         # adaptive part is learned rather than injected as init noise
         self.head = Linear(k * c, k, rng, f"{name}.head",
                            bias_init=0.0, weight_scale=0.1)
-        self.refine = Conv1d(c, c, 1, 0, rng, f"{name}.refine")
+        self.refine = Conv1d(c, c, 1, rng, f"{name}.refine")
         if not adaptive:
             # built all the same so no later rng draw moves; uniform fusion
             # has no descriptor MLP or head to train
@@ -186,11 +186,15 @@ class Amtpn(Layer):
         self.aff = Aff(cfg, rng, f"{name}.aff", adaptive=use_aff)
         self.tce = (Tce(cfg.channels, cfg.reduction_ratio, rng, f"{name}.tce")
                     if use_tce else None)
-        self.last_weights = None
+
+    def fuse(self, x, train=False):
+        """(output, the AFF fusion weights [B, K])."""
+        fused, weights = self.aff.forward(self.tpp.forward(x, train), train)
+        out = self.tce.forward(fused, train) if self.tce is not None else fused
+        return out, weights
 
     def forward(self, x, train=False):
-        fused, self.last_weights = self.aff.forward(self.tpp.forward(x, train), train)
-        return self.tce.forward(fused, train) if self.tce is not None else fused
+        return self.fuse(x, train)[0]
 
     def backward(self, g):
         if self.tce is not None:

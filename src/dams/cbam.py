@@ -69,8 +69,8 @@ class TemporalAttention(Layer):
     def __init__(self, kernel_size, rng, name="ta"):
         super().__init__()
         # near-zero conv so the temporal gate starts ~0.5 at every frame
-        self.conv = Conv1d(2, 1, kernel_size, kernel_size // 2, rng,
-                           f"{name}.conv", bias_init=0.0, weight_scale=0.1)
+        self.conv = Conv1d(2, 1, kernel_size, rng, f"{name}.conv",
+                           bias_init=0.0, weight_scale=0.1)
         self.gate = Sigmoid()
 
     def forward(self, f, train=False):

@@ -205,6 +205,8 @@ def _read_score_csv(path):
 
 
 def cmd_plot(args):
+    if args.max_videos < 1:
+        raise ConfigError(f"--max-videos must be >= 1, got {args.max_videos}")
     rows = _read_score_csv(args.scores)
     if not rows:
         raise ConfigError(f"{args.scores}: no score rows")
@@ -224,6 +226,8 @@ def cmd_plot(args):
 def cmd_gradcheck(args):
     if args.seed < 0 or args.num_seeds < 1 or args.entries < 1:
         raise ConfigError("--seed must be >= 0, --num-seeds and --entries >= 1")
+    if not args.tolerance >= 0:  # NaN fails too
+        raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
     results = run_suite(seeds=seeds, tolerance=args.tolerance,
                         max_entries_per_param=args.entries)

@@ -286,8 +286,8 @@ class SyntheticSpec:
             raise ConfigError("anomaly_fraction must lie in [0, 1]")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ConfigError("label_noise must lie in [0, 1]")
-        if self.snr < 0:
-            raise ConfigError("snr must be >= 0")
+        if not 0 <= self.snr < math.inf:  # NaN fails too
+            raise ConfigError("snr must be finite and >= 0")
         if not self.anomaly_durations:
             raise ConfigError("need at least one anomaly duration")
         if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
@@ -405,7 +405,6 @@ class Batch:
     labels: np.ndarray       # [B], 1 = anomalous
     pseudo_probs: np.ndarray # [B, Tmax], 0 outside mask / when absent
     has_pseudo: np.ndarray   # [B]
-    records: list
 
 
 def _collate(records):
@@ -428,7 +427,7 @@ def _collate(records):
             pseudo[i, :t] = r.pseudo_probs
             has_pseudo[i] = 1.0
     return Batch([r.id for r in records], feats, mask, labels, pseudo,
-                 has_pseudo, list(records))
+                 has_pseudo)
 
 
 def _rebalance(chunks, labels):
@@ -469,11 +468,3 @@ def batch_iter(records, batch_size, seed=0, mode="eval", epoch=0):
         chunks = [idx[i:i + batch_size] for i in range(0, len(idx), batch_size)]
     for chunk in chunks:
         yield _collate([records[i] for i in chunk])
-
-
-def tencrop_aggregate(per_crop_scores):
-    """Elementwise mean of per-crop frame score curves."""
-    if len(per_crop_scores) < 1:
-        raise ConfigError("tencrop_aggregate: no crops")
-    stack = np.stack([np.asarray(s, dtype=np.float64) for s in per_crop_scores])
-    return stack.mean(axis=0)

@@ -7,6 +7,8 @@ gradient checker. There is no tape: every composite module calls the
 
 Conventions (pinned by tests):
   - conv1d is cross-correlation (no kernel flip), stride 1, zero padding.
+  - avg_pool1d and max_pool1d run at stride 1: output t is the window at
+    padded positions t .. t + kernel - 1.
   - avg_pool1d divides by the number of in-bounds elements only
     (count-exclude-pad).
   - max_pool1d pads with -inf; the sentinel never wins on finite input.
@@ -29,8 +31,7 @@ tests/test_kernel.py):
     such input). Windows of 8 or more taps share their lanes: the running
     sum over taps j, j+8, ... of window t is that over taps 0, 8, ... of
     window t + j, so one lane array over every padded position, and two
-    shifted-view combines of it, serve all windows. Sums run at stride 1;
-    a strided pool takes every stride-th window of them.
+    shifted-view combines of it, serve all windows.
   - batch_norm1d's training statistics have the bytes of x.mean and x.var
     over (B, T): one sum divided by the count, the centred input computed
     once for the variance and xhat. Its backward keeps the reference
@@ -56,7 +57,7 @@ class DegenerateBatchError(ValueError):
 
 
 class GradCheckAborted(RuntimeError):
-    """The loss closure produced a non-finite value."""
+    """The loss closure produced a non-finite loss or gradient."""
 
 
 def as_f64(x) -> np.ndarray:
@@ -157,14 +158,14 @@ def conv1d_backward(g, cache, need_dx=True):
 # pooling
 # ---------------------------------------------------------------------------
 
-def _pool_geometry(T, kernel, stride, padding):
-    if kernel < 1 or stride < 1 or padding < 0:
-        raise DimensionError(f"pool: bad kernel/stride/padding {kernel}/{stride}/{padding}")
+def _pool_length(T, kernel, padding):
+    """The output length of a stride-1 pool."""
+    if kernel < 1 or padding < 0:
+        raise DimensionError(f"pool: bad kernel/padding {kernel}/{padding}")
     Tp = T + 2 * padding
     if kernel > Tp:
         raise DimensionError(f"pool: kernel {kernel} > padded length {Tp}")
-    To = (Tp - kernel) // stride + 1
-    return Tp, To
+    return Tp - kernel + 1
 
 
 def _add(a, b):
@@ -210,55 +211,50 @@ def _window_sums(xp, n, count):
     return acc
 
 
-def avg_pool1d(x, kernel, stride=1, padding=0):
+def avg_pool1d(x, kernel, padding=0):
     """Average pooling; the divisor counts only in-bounds elements."""
     B, C, T = x.shape
-    Tp, To = _pool_geometry(T, kernel, stride, padding)
-    starts = np.arange(To) * stride
+    To = _pool_length(T, kernel, padding)
+    starts = np.arange(To)
     counts = (np.minimum(starts + kernel, padding + T)
               - np.maximum(starts, padding)).astype(np.float64)
     if np.any(counts < 1):
         raise DimensionError("avg_pool1d: window contains no in-bounds elements")
-    # every window at stride 1 up to the last one needed, then the strided ones
-    out = _window_sums(_pad_time(x, padding), kernel, stride * (To - 1) + 1)
-    if stride > 1:
-        out = out[:, :, ::stride].copy(order="K")
+    out = _window_sums(_pad_time(x, padding), kernel, To)
     if kernel >= 8:
         out += 0.0  # the reduction's 0.0 start: an all -0.0 sum becomes 0.0
     out /= counts
-    return out, (x.shape, kernel, stride, padding, counts)
+    return out, (x.shape, kernel, padding, counts)
 
 
 def avg_pool1d_backward(g, cache):
-    (B, C, T), kernel, stride, padding, counts = cache
+    (B, C, T), kernel, padding, counts = cache
     gd = g / counts
     dxp = np.zeros((B, C, T + 2 * padding))
-    span = stride * (g.shape[2] - 1) + 1
-    # Tap k of window t lands on padded position t*stride + k. Within one tap
-    # those positions are distinct, so a strided slice receives exactly the
-    # additions a scatter over `starts + k` would, in the same order.
+    To = g.shape[2]
+    # tap k of window t lands on padded position t + k
     for k in range(kernel):
-        dxp[:, :, k:k + span:stride] += gd
+        dxp[:, :, k:k + To] += gd
     return dxp[:, :, padding:padding + T] if padding else dxp
 
 
-def max_pool1d(x, kernel, stride=1, padding=0):
+def max_pool1d(x, kernel, padding=0):
     """Max pooling; padding uses a -inf sentinel that never wins."""
     B, C, T = x.shape
-    Tp, To = _pool_geometry(T, kernel, stride, padding)
+    _pool_length(T, kernel, padding)  # raises on a window that does not fit
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)),
                 constant_values=-np.inf) if padding else x
-    win = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
+    win = sliding_window_view(xp, kernel, axis=2)
     arg = win.argmax(axis=3)  # first max: deterministic tie rule
     out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
-    return out, (x.shape, stride, padding, arg)
+    return out, (x.shape, padding, arg)
 
 
 def max_pool1d_backward(g, cache):
-    (B, C, T), stride, padding, arg = cache
+    (B, C, T), padding, arg = cache
     To = g.shape[2]
     dxp = np.zeros((B, C, T + 2 * padding))
-    pos = np.arange(To) * stride + arg  # absolute padded positions, [B, C, To]
+    pos = np.arange(To) + arg  # absolute padded positions, [B, C, To]
     bi = np.arange(B)[:, None, None]
     ci = np.arange(C)[None, :, None]
     np.add.at(dxp, (bi, ci, pos), g)
@@ -337,18 +333,20 @@ def softmax_backward(g, cache):
 # batch norm
 # ---------------------------------------------------------------------------
 
+BN_MOMENTUM = 0.9  # weight of the old running statistic in each update
+BN_EPS = 1e-5     # added to the variance before its square root
+
+
 @dataclasses.dataclass
 class BatchNormState:
     """Running statistics for eval-mode normalization."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels, momentum=0.9, eps=1e-5):
-        return cls(np.zeros(channels), np.ones(channels), momentum, eps)
+    def create(cls, channels):
+        return cls(np.zeros(channels), np.ones(channels))
 
 
 def batch_norm1d(x, gamma, beta, state, train):
@@ -364,7 +362,7 @@ def batch_norm1d(x, gamma, beta, state, train):
     B, C, T = x.shape
     n = B * T
     if not train:
-        inv_std = 1.0 / np.sqrt(state.running_var[None, :, None] + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var[None, :, None] + BN_EPS)
         out = x - state.running_mean[None, :, None]
         out *= inv_std
         out *= gamma[None, :, None]
@@ -381,11 +379,11 @@ def batch_norm1d(x, gamma, beta, state, train):
     var = np.multiply(xhat, xhat, out=sq).sum(axis=(0, 2), keepdims=True)
     del sq
     var /= n
-    state.running_mean[...] = (state.momentum * state.running_mean
-                               + (1.0 - state.momentum) * mean.reshape(C))
-    state.running_var[...] = (state.momentum * state.running_var
-                              + (1.0 - state.momentum) * var.reshape(C))
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    state.running_mean[...] = (BN_MOMENTUM * state.running_mean
+                               + (1.0 - BN_MOMENTUM) * mean.reshape(C))
+    state.running_var[...] = (BN_MOMENTUM * state.running_var
+                              + (1.0 - BN_MOMENTUM) * var.reshape(C))
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     out = xhat * gamma[None, :, None]
     out += beta[None, :, None]
@@ -419,9 +417,7 @@ def batch_norm1d_backward(g, cache):
 @dataclasses.dataclass
 class GradCheckReport:
     max_rel_error: float
-    worst_param: str
     passed: bool
-    checked_entries: int
 
 
 def grad_check(loss_fn, params, tolerance=1e-5, step=1e-6,
@@ -433,19 +429,22 @@ def grad_check(loss_fn, params, tolerance=1e-5, step=1e-6,
     returns the scalar loss.
 
     When `max_entries_per_param` is set, a seeded random subset of entries
-    per parameter is differenced instead of every entry.
+    per parameter is differenced instead of every entry. A non-finite loss,
+    or a non-finite analytic gradient entry (differenced or not), raises
+    `GradCheckAborted`.
     """
     zero_grads(params)
     loss0 = float(loss_fn())
     if not np.isfinite(loss0):
         raise GradCheckAborted(f"non-finite loss {loss0!r}")
+    for p in params:
+        if not np.isfinite(p.grad).all():
+            raise GradCheckAborted(f"non-finite analytic gradient of {p.name}")
     analytic = {p.name: p.grad.copy() for p in params}
 
     if rng is None:
         rng = np.random.default_rng(0)
     max_err = 0.0
-    worst = ""
-    checked = 0
     for p in params:
         n = p.value.size
         if max_entries_per_param is not None and n > max_entries_per_param:
@@ -467,8 +466,5 @@ def grad_check(loss_fn, params, tolerance=1e-5, step=1e-6,
             numeric = (lp - lm) / (2.0 * step)
             a = analytic[p.name].reshape(-1)[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            checked += 1
-            if err > max_err:
-                max_err = err
-                worst = p.name
-    return GradCheckReport(max_err, worst, max_err <= tolerance, checked)
+            max_err = max(max_err, err)
+    return GradCheckReport(max_err, max_err <= tolerance)

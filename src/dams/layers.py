@@ -92,7 +92,10 @@ class Sequential(Layer):
 
 
 class Conv1d(Layer):
-    def __init__(self, cin, cout, kernel_size, padding, rng, name,
+    """Stride-1 conv padded by `kernel_size // 2` (odd `kernel_size` keeps
+    the length)."""
+
+    def __init__(self, cin, cout, kernel_size, rng, name,
                  bias_init=None, weight_scale=1.0):
         super().__init__()
         fan_in = cin * kernel_size
@@ -104,7 +107,7 @@ class Conv1d(Layer):
         else:
             b = np.full(cout, float(bias_init))
         self.b = Parameter(b, f"{name}.b")
-        self.padding = padding
+        self.padding = kernel_size // 2
 
     def forward(self, x, train=False):
         return self._record(train, *kernel.conv1d(x, self.w.value, self.b.value,
@@ -143,11 +146,11 @@ class Linear(Layer):
 
 
 class BatchNorm1d(Layer):
-    def __init__(self, channels, name, momentum=0.9, eps=1e-5):
+    def __init__(self, channels, name):
         super().__init__()
         self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels), f"{name}.beta")
-        self.state = BatchNormState.create(channels, momentum, eps)
+        self.state = BatchNormState.create(channels)
         self.name = name
 
     def forward(self, x, train=False):
@@ -175,7 +178,7 @@ class AvgPool1d(Layer):
 
     def forward(self, x, train=False):
         return self._record(train, *kernel.avg_pool1d(
-            x, self.size, stride=1, padding=self.size // 2))
+            x, self.size, padding=self.size // 2))
 
     def backward(self, g):
         return kernel.avg_pool1d_backward(g, self._caches.pop())

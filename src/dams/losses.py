@@ -37,12 +37,12 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.focal_alpha_pos < 1.0:
             raise ConfigError("focal_alpha_pos must lie in (0, 1)")
-        if self.focal_gamma < 0:
-            raise ConfigError("focal_gamma must be >= 0")
+        if not 0 <= self.focal_gamma < math.inf:  # NaN fails too
+            raise ConfigError("focal_gamma must be finite and >= 0")
         if not 0.0 < self.topk_fraction <= 1.0:
             raise ConfigError("topk_fraction must lie in (0, 1]")
-        if self.triplet_margin < 0:
-            raise ConfigError("triplet_margin must be >= 0")
+        if not 0 <= self.triplet_margin < math.inf:
+            raise ConfigError("triplet_margin must be finite and >= 0")
 
 
 @dataclasses.dataclass

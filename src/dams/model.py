@@ -14,6 +14,7 @@ touches model parameters.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -71,8 +72,9 @@ class ClipPathConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.temperature <= 0 or self.scaling <= 0:
-            raise ConfigError("temperature and scaling must be positive")
+        # chained bounds, so NaN fails them too
+        if not (0 < self.temperature < math.inf and 0 < self.scaling < math.inf):
+            raise ConfigError("temperature and scaling must be positive and finite")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
 
@@ -90,8 +92,8 @@ class Backbone(Layer):
 
     def __init__(self, input_dim, channels, depth, rng, name="backbone"):
         super().__init__()
-        self.proj = Conv1d(input_dim, channels, 1, 0, rng, f"{name}.proj")
-        self.blocks = [Sequential(Conv1d(channels, channels, 3, 1, rng,
+        self.proj = Conv1d(input_dim, channels, 1, rng, f"{name}.proj")
+        self.blocks = [Sequential(Conv1d(channels, channels, 3, rng,
                                          f"{name}.block{i}.conv"),
                                   BatchNorm1d(channels, f"{name}.block{i}.bn"),
                                   Relu())
@@ -113,9 +115,9 @@ class Head(Sequential):
     """Per-frame classifier: conv1x1 C->H, ReLU, conv1x1 H->1."""
 
     def __init__(self, channels, hidden, rng, name="head"):
-        super().__init__(Conv1d(channels, hidden, 1, 0, rng, f"{name}.conv1"),
+        super().__init__(Conv1d(channels, hidden, 1, rng, f"{name}.conv1"),
                          Relu(),
-                         Conv1d(hidden, 1, 1, 0, rng, f"{name}.conv2"))
+                         Conv1d(hidden, 1, 1, rng, f"{name}.conv2"))
 
     def forward(self, x, train=False):
         return super().forward(x, train)[:, 0, :]
@@ -145,8 +147,7 @@ class DamsModel(Layer):
         h = self.backbone.forward(x, train)
         weights = None
         if self.amtpn is not None:
-            h = self.amtpn.forward(h, train)
-            weights = self.amtpn.last_weights
+            h, weights = self.amtpn.fuse(h, train)
         if self.cbam is not None:
             h = self.cbam.forward(h, train)
         embeddings = h

@@ -26,18 +26,10 @@ def _polyline_points(values, x0, y0, w, h):
 
 
 def _gt_segments(gt):
-    gt = np.asarray(gt)
-    segs = []
-    start = None
-    for t, v in enumerate(gt):
-        if v > 0.5 and start is None:
-            start = t
-        elif v <= 0.5 and start is not None:
-            segs.append((start, t))
-            start = None
-    if start is not None:
-        segs.append((start, len(gt)))
-    return segs
+    """[(start, end)] of each run of anomalous (> 0.5) frames, end exclusive."""
+    on = np.concatenate(([0], np.asarray(gt) > 0.5, [0])).astype(np.int8)
+    edges = np.flatnonzero(np.diff(on))  # run starts and ends alternate
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 def render_video_panel(video_id, curves, gt=None, x0=MARGIN, y0=MARGIN):

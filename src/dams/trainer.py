@@ -26,7 +26,7 @@ from . import kernel
 from . import losses as L
 from .amtpn import ConfigError
 from .data import (Batch, FeatureFileError, batch_iter, read_container,
-                   tencrop_aggregate, write_container)
+                   write_container)
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
 from .metrics import UndefinedMetricError, average_precision, roc_auc
 from .model import DamsModel, ModelConfig
@@ -63,12 +63,13 @@ class TrainConfig:
             raise ConfigError("max_iterations >= 0 and validate_every >= 1 required")
         if self.batch_size < 1 or self.eval_batch_size < 1:
             raise ConfigError("batch sizes must be positive")
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise ConfigError("learning_rate and adam_eps must be positive")
+        # chained bounds, so NaN fails them too
+        if not (0 < self.learning_rate < math.inf and 0 < self.adam_eps < math.inf):
+            raise ConfigError("learning_rate and adam_eps must be positive and finite")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ConfigError("Adam betas must lie in (0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.pseudo_threshold < 1.0:
@@ -300,8 +301,7 @@ class EvalReport:
 def score_video(model: DamsModel, record):
     """Per-frame anomaly scores for one video, averaged over crops."""
     feats = np.stack(record.crops)  # [ncrops, Din, T]
-    out = model.forward(feats, train=False)
-    return tencrop_aggregate(list(out.frame_scores))
+    return model.forward(feats, train=False).frame_scores.mean(axis=0)
 
 
 def evaluate(model: DamsModel, records) -> EvalReport:

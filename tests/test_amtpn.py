@@ -174,9 +174,9 @@ class TestAmtpn:
         cfg = PyramidConfig(scales=(1,), channels=8, reduction_ratio=2)
         amtpn = Amtpn(cfg, rng(2))
         x = rng(3).standard_normal((1, 8, 6))
-        out = amtpn.forward(x, train=False)
+        out, weights = amtpn.fuse(x, train=False)
         assert out.shape == x.shape
-        np.testing.assert_allclose(amtpn.last_weights, 1.0, atol=1e-12)
+        np.testing.assert_allclose(weights, 1.0, atol=1e-12)
 
     def test_gradient_full_pipeline(self):
         from dams.checks import check_amtpn

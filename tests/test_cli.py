@@ -74,6 +74,14 @@ class TestSynth:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_nan_snr_exit_code(self, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["synth", "--out", str(tmp_path / "d"), "--snr", "nan"]
+                    + SYNTH_ARGS)
+        assert code == EXIT_CONFIG
+        assert "snr must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained):
@@ -105,9 +113,13 @@ class TestTrain:
         ({"loss": [0.5]}, [], "config.loss: expected an object"),
         ({"seed": -5}, [], "seed must be >= 0, got -5"),
         ({}, ["--seed", "-5"], "seed must be >= 0, got -5"),
+        ({"learning_rate": float("nan")}, [], "learning_rate and adam_eps must be"),
+        ({"learning_rate": float("inf")}, [], "learning_rate and adam_eps must be"),
+        ({"loss": {"focal_gamma": float("nan")}}, [], "focal_gamma must be finite"),
     ], ids=["input-dim", "float-seed", "bool-batch-size", "string-float",
             "string-bool", "int-scales", "float-scale", "list-loss",
-            "negative-seed", "negative-seed-flag"])
+            "negative-seed", "negative-seed-flag", "nan-learning-rate",
+            "infinite-learning-rate", "nan-focal-gamma"])
     def test_config_fault_exit_code(self, tmp_path, dataset, capsys,
                                     overrides, flags, message):
         cfg = write_config(tmp_path, **overrides)
@@ -477,6 +489,18 @@ class TestEvalScorePlot:
                      "--out", str(tmp_path / "p.svg"), "--video", "ghost"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_plot_max_videos_out_of_range_exit_code(self, tmp_path, capsys, count):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("video_id,frame,score,gt\na,0,0.5,1\nb,0,0.2,0\n")
+        svg = tmp_path / "p.svg"
+        capsys.readouterr()
+        code = main(["plot", "--scores", str(scores), "--out", str(svg),
+                     "--max-videos", count])
+        assert code == EXIT_CONFIG
+        assert "--max-videos must be >= 1" in capsys.readouterr().err
+        assert not svg.exists()
+
 
 class TestGradcheckInfo:
     def test_gradcheck_reduced_passes(self, capsys):
@@ -486,8 +510,11 @@ class TestGradcheckInfo:
         assert "FAIL" not in out and "PASS" in out
 
     @pytest.mark.parametrize("args", [["--entries", "0"], ["--num-seeds", "0"],
-                                      ["--seed", "-1", "--num-seeds", "1"]],
-                             ids=["no-entries", "no-seeds", "negative-seed"])
+                                      ["--seed", "-1", "--num-seeds", "1"],
+                                      ["--tolerance", "-1", "--num-seeds", "1"],
+                                      ["--tolerance", "nan", "--num-seeds", "1"]],
+                             ids=["no-entries", "no-seeds", "negative-seed",
+                                  "negative-tolerance", "nan-tolerance"])
     def test_gradcheck_flag_out_of_range_exit_code(self, capsys, args):
         code = main(["gradcheck"] + args)
         assert code == EXIT_CONFIG

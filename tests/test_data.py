@@ -15,8 +15,7 @@ from dams.data import (LABEL_ANOMALOUS, LABEL_NORMAL, MANIFEST_NAME,
                        FeatureFileError, SyntheticSpec, TruncatedFileError,
                        VideoRecord, anomaly_directions, batch_iter,
                        load_dataset, read_feature_file, save_dataset,
-                       synthesize_dataset, tencrop_aggregate,
-                       write_feature_file)
+                       synthesize_dataset, write_feature_file)
 from dams.metrics import roc_auc
 from dams.data import FORMAT_VERSION, read_container, write_container
 from dams.trainer import load_checkpoint, save_checkpoint
@@ -325,9 +324,10 @@ class TestBatching:
 
     def test_mask_marks_padded_tail(self):
         records = self._records()
+        by_id = {r.id: r for r in records}
         for batch in batch_iter(records, 3, mode="eval"):
-            for i, rec in enumerate(batch.records):
-                t = rec.num_frames
+            for i, vid in enumerate(batch.video_ids):
+                t = by_id[vid].num_frames
                 assert batch.mask[i, :t].all()
                 assert not batch.mask[i, t:].any()
                 assert not batch.features[i, :, t:].any()
@@ -358,35 +358,16 @@ class TestBatching:
 
     def test_no_crop_mixing(self):
         records = self._records()
+        by_id = {r.id: r for r in records}
         for batch in batch_iter(records, 3, mode="eval"):
-            for i, rec in enumerate(batch.records):
+            for i, vid in enumerate(batch.video_ids):
+                rec = by_id[vid]
                 t = rec.num_frames
                 assert np.array_equal(batch.features[i, :, :t], rec.crops[0])
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             list(batch_iter(self._records(), 2, mode="sideways"))
-
-
-class TestTencrop:
-    def test_single_crop_identity(self):
-        s = rng(0).random(7)
-        np.testing.assert_array_equal(tencrop_aggregate([s]), s)
-
-    def test_pairwise_mean(self):
-        a = np.full(5, 0.2)
-        b = np.full(5, 0.8)
-        np.testing.assert_allclose(tencrop_aggregate([a, b]), 0.5)
-
-    def test_permutation_invariant(self):
-        crops = [rng(i).random(6) for i in range(4)]
-        fwd = tencrop_aggregate(crops)
-        rev = tencrop_aggregate(crops[::-1])
-        np.testing.assert_allclose(fwd, rev, atol=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            tencrop_aggregate([])
 
 
 def _container_bytes(magic, version, body):

@@ -68,7 +68,7 @@ class TestPooling:
 
     def test_avg_length_preserved_t27(self):
         x = np.random.default_rng(1).standard_normal((1, 2, 27))
-        out, _ = kernel.avg_pool1d(x, 3, stride=1, padding=1)
+        out, _ = kernel.avg_pool1d(x, 3, padding=1)
         assert out.shape == (1, 2, 27)
 
     def test_avg_kernel_too_long_raises(self):
@@ -97,17 +97,18 @@ class TestPooling:
 
 def avg_pool1d_backward_scatter(g, cache):
     """Reference: scatter each window tap through a fancy index."""
-    (B, C, T), kernel_size, stride, padding, counts = cache
+    (B, C, T), kernel_size, padding, counts = cache
     gd = g / counts
     dxp = np.zeros((B, C, T + 2 * padding))
-    starts = np.arange(g.shape[2]) * stride
+    starts = np.arange(g.shape[2])
     for k in range(kernel_size):
         dxp[:, :, starts + k] += gd
     return dxp[:, :, padding:padding + T] if padding else dxp
 
 
-# (kernel, stride, padding, T): the pyramid scales s with padding s//2, then
-# strided windows and inputs exactly as long as kernel - 2*padding.
+# (kernel, batch, padding, T): the pyramid scales s with padding s//2 on one
+# video, then batches of 2, 3 and 5 videos with even kernels, other paddings
+# and inputs exactly as long as kernel - 2*padding.
 POOL_GEOMETRIES = (
     [(s, 1, s // 2, T) for s in (1, 3, 9, 27) for T in (1, 2, 9, 40)]
     + [(4, 2, 1, 11), (4, 2, 1, 2), (5, 3, 2, 13), (5, 3, 2, 1),
@@ -115,26 +116,26 @@ POOL_GEOMETRIES = (
 
 
 class TestAvgPoolBackward:
-    @pytest.mark.parametrize("kernel_size,stride,padding,T", POOL_GEOMETRIES)
-    def test_bit_identical_to_scatter(self, kernel_size, stride, padding, T):
-        rng = np.random.default_rng([kernel_size, stride, padding, T])
-        x = rng.standard_normal((2, 3, T))
-        out, cache = kernel.avg_pool1d(x, kernel_size, stride, padding)
+    @pytest.mark.parametrize("kernel_size,batch,padding,T", POOL_GEOMETRIES)
+    def test_bit_identical_to_scatter(self, kernel_size, batch, padding, T):
+        rng = np.random.default_rng([kernel_size, batch, padding, T])
+        x = rng.standard_normal((batch, 3, T))
+        out, cache = kernel.avg_pool1d(x, kernel_size, padding)
         g = rng.standard_normal(out.shape)
         assert np.array_equal(kernel.avg_pool1d_backward(g, cache),
                               avg_pool1d_backward_scatter(g, cache))
 
-    @pytest.mark.parametrize("kernel_size,stride,padding,T",
+    @pytest.mark.parametrize("kernel_size,batch,padding,T",
                              [(9, 1, 4, 12), (27, 1, 13, 30), (4, 2, 1, 11),
                               (5, 3, 2, 13)])
-    def test_gradient(self, kernel_size, stride, padding, T):
+    def test_gradient(self, kernel_size, batch, padding, T):
         rng = np.random.default_rng(kernel_size)
-        x = Parameter(rng.uniform(-1, 1, (2, 2, T)), "x")
-        out_shape = kernel.avg_pool1d(x.value, kernel_size, stride, padding)[0].shape
+        x = Parameter(rng.uniform(-1, 1, (batch, 2, T)), "x")
+        out_shape = kernel.avg_pool1d(x.value, kernel_size, padding)[0].shape
         r = rng.uniform(-1, 1, out_shape)
 
         def fn():
-            out, cache = kernel.avg_pool1d(x.value, kernel_size, stride, padding)
+            out, cache = kernel.avg_pool1d(x.value, kernel_size, padding)
             x.grad += kernel.avg_pool1d_backward(r, cache)
             return (out * r).sum()
         report = grad_check(fn, [x], tolerance=1e-8)
@@ -172,11 +173,11 @@ def conv1d_backward_einsum(g, cache):
     return dx, dw, db
 
 
-def avg_pool1d_window_sum(x, kernel_size, stride=1, padding=0):
+def avg_pool1d_window_sum(x, kernel_size, padding=0):
     """Reference: avg_pool1d as a sum over a sliding-window view."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    win = sliding_window_view(xp, kernel_size, axis=2)[:, :, ::stride]
-    starts = np.arange(win.shape[2]) * stride
+    win = sliding_window_view(xp, kernel_size, axis=2)
+    starts = np.arange(win.shape[2])
     T = x.shape[2]
     counts = (np.minimum(starts + kernel_size, padding + T)
               - np.maximum(starts, padding)).astype(np.float64)
@@ -238,26 +239,26 @@ class TestConvGemmBytes:
 
 
 class TestAvgPoolTapBytes:
-    """avg_pool1d as strided-tap sums gives the window-sum reference's bytes."""
+    """avg_pool1d as shifted-tap sums gives the window-sum reference's bytes."""
 
-    @pytest.mark.parametrize("kernel_size,stride,padding,T", POOL_GEOMETRIES)
+    @pytest.mark.parametrize("kernel_size,batch,padding,T", POOL_GEOMETRIES)
     @pytest.mark.parametrize("layout", ["c", "cm"])
-    def test_pool_geometries(self, kernel_size, stride, padding, T, layout):
-        x = wide_range(np.random.default_rng([kernel_size, T]), (2, 3, T), layout)
-        out, _ = kernel.avg_pool1d(x, kernel_size, stride, padding)
-        assert_same_array(out, avg_pool1d_window_sum(x, kernel_size, stride, padding))
+    def test_pool_geometries(self, kernel_size, batch, padding, T, layout):
+        x = wide_range(np.random.default_rng([kernel_size, T]), (batch, 3, T), layout)
+        out, _ = kernel.avg_pool1d(x, kernel_size, padding)
+        assert_same_array(out, avg_pool1d_window_sum(x, kernel_size, padding))
 
     # 8 and 16 taps start the unrolled sums; 129 and 300 split in halves
     @pytest.mark.parametrize("kernel_size", list(range(1, 41)) + [129, 300])
     @pytest.mark.parametrize("layout", ["c", "cm"])
     def test_kernels_and_strides(self, kernel_size, layout):
+        """Every kernel, unpadded and padded by kernel // 2 (pools run at
+        stride 1 only)."""
         rng = np.random.default_rng(kernel_size)
-        for stride in (1, 2, 3, 5):
-            for padding in sorted({0, kernel_size // 2}):
-                x = wide_range(rng, (2, 3, kernel_size + 2 * stride + 1), layout)
-                out, _ = kernel.avg_pool1d(x, kernel_size, stride, padding)
-                assert_same_array(
-                    out, avg_pool1d_window_sum(x, kernel_size, stride, padding))
+        for padding in sorted({0, kernel_size // 2}):
+            x = wide_range(rng, (2, 3, kernel_size + 3), layout)
+            out, _ = kernel.avg_pool1d(x, kernel_size, padding)
+            assert_same_array(out, avg_pool1d_window_sum(x, kernel_size, padding))
 
     @pytest.mark.parametrize("kernel_size", [1, 2, 3, 7, 8, 9, 16, 27, 40])
     def test_negative_zero_window(self, kernel_size):
@@ -274,14 +275,14 @@ def batch_norm1d_reference(x, gamma, beta, state, train):
     if train:
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
-        state.running_mean[...] = (state.momentum * state.running_mean
-                                   + (1.0 - state.momentum) * mean)
-        state.running_var[...] = (state.momentum * state.running_var
-                                  + (1.0 - state.momentum) * var)
+        state.running_mean[...] = (kernel.BN_MOMENTUM * state.running_mean
+                                   + (1.0 - kernel.BN_MOMENTUM) * mean)
+        state.running_var[...] = (kernel.BN_MOMENTUM * state.running_var
+                                  + (1.0 - kernel.BN_MOMENTUM) * var)
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + kernel.BN_EPS)
     xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
     out = gamma[None, :, None] * xhat + beta[None, :, None]
     return out, (xhat, inv_std, gamma, B * T)
@@ -472,6 +473,23 @@ class TestGradCheck:
         p = Parameter(np.ones(1), "p")
         with pytest.raises(GradCheckAborted):
             grad_check(lambda: float("nan"), [p])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entries", [None, 1])
+    def test_nonfinite_analytic_gradient_aborts(self, bad, entries):
+        """A backward that writes NaN or inf into one gradient entry fails
+        the check, also when that entry is not among the sampled ones."""
+        p = Parameter(np.ones(50), "p")
+        sampled = np.random.default_rng(0).choice(50, size=1, replace=False)
+        i = 0 if sampled[0] != 0 else 1  # never sampled with one entry
+
+        def fn():
+            p.grad += 2.0 * p.value
+            p.grad[i] = bad
+            return float((p.value ** 2).sum())
+        with pytest.raises(GradCheckAborted, match="analytic gradient of p"):
+            grad_check(fn, [p], max_entries_per_param=entries,
+                       rng=np.random.default_rng(0))
 
     def test_detects_wrong_gradient(self):
         p = Parameter(np.ones(2), "p")

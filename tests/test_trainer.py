@@ -19,7 +19,7 @@ from dams.cbam import CbamConfig
 from dams.data import (BadMagicError, ChecksumError, FeatureFileError,
                        SyntheticSpec, synthesize_dataset)
 from dams.losses import LossConfig
-from dams.model import ModelConfig
+from dams.model import ClipPathConfig, ModelConfig
 from dams.trainer import (ABLATION_VARIANTS, Adam, TrainConfig, apply_variant,
                           build_model, config_from_dict, config_hash,
                           config_to_dict, evaluate, load_checkpoint,
@@ -76,6 +76,16 @@ class TestConfigSchema:
     def test_bad_values(self, kw):
         with pytest.raises(ConfigError):
             small_config(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls, field", [
+        (TrainConfig, "learning_rate"), (TrainConfig, "adam_eps"),
+        (TrainConfig, "weight_decay"), (LossConfig, "focal_gamma"),
+        (LossConfig, "triplet_margin"), (SyntheticSpec, "snr"),
+        (ClipPathConfig, "temperature"), (ClipPathConfig, "scaling")])
+    def test_non_finite_values_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
 
     def test_hash_sensitive_to_any_field(self):
         a = config_hash(small_config())
