@@ -107,12 +107,15 @@ def avg_pool1d_backward_scatter(g, cache):
 
 
 # (kernel, batch, padding, T): the pyramid scales s with padding s//2 on one
-# video, then batches of 2, 3 and 5 videos with even kernels, other paddings
-# and inputs exactly as long as kernel - 2*padding.
+# and on two videos (one video's "cm" layout is the "c" one), then batches of
+# 1 to 5 videos with even kernels, other paddings and inputs exactly as long
+# as kernel - 2*padding.
 POOL_GEOMETRIES = (
-    [(s, 1, s // 2, T) for s in (1, 3, 9, 27) for T in (1, 2, 9, 40)]
+    [(s, b, s // 2, T) for s in (1, 3, 9, 27) for b in (1, 2)
+     for T in (1, 2, 9, 40)]
     + [(4, 2, 1, 11), (4, 2, 1, 2), (5, 3, 2, 13), (5, 3, 2, 1),
-       (9, 1, 2, 5), (7, 2, 0, 7), (6, 5, 2, 2), (29, 3, 14, 30)])
+       (9, 1, 2, 5), (9, 2, 2, 5), (7, 2, 0, 7), (6, 5, 2, 2),
+       (29, 3, 14, 30)])
 
 
 class TestAvgPoolBackward:
@@ -126,8 +129,8 @@ class TestAvgPoolBackward:
                               avg_pool1d_backward_scatter(g, cache))
 
     @pytest.mark.parametrize("kernel_size,batch,padding,T",
-                             [(9, 1, 4, 12), (27, 1, 13, 30), (4, 2, 1, 11),
-                              (5, 3, 2, 13)])
+                             [(9, 1, 4, 12), (9, 2, 4, 12), (27, 1, 13, 30),
+                              (27, 2, 13, 30), (4, 2, 1, 11), (5, 3, 2, 13)])
     def test_gradient(self, kernel_size, batch, padding, T):
         rng = np.random.default_rng(kernel_size)
         x = Parameter(rng.uniform(-1, 1, (batch, 2, T)), "x")
@@ -252,8 +255,8 @@ class TestAvgPoolTapBytes:
     @pytest.mark.parametrize("kernel_size", list(range(1, 41)) + [129, 300])
     @pytest.mark.parametrize("layout", ["c", "cm"])
     def test_kernels_and_strides(self, kernel_size, layout):
-        """Every kernel, unpadded and padded by kernel // 2 (pools run at
-        stride 1 only)."""
+        """Every kernel, unpadded and padded by kernel // 2, on two videos in
+        both memory layouts: the output's bytes and strides match."""
         rng = np.random.default_rng(kernel_size)
         for padding in sorted({0, kernel_size // 2}):
             x = wide_range(rng, (2, 3, kernel_size + 3), layout)
