@@ -53,12 +53,13 @@ class PyramidConfig:
 
 
 class Tpp(Layer):
-    """One branch per scale s: avg_pool(s) -> conv1x1 -> BN -> ReLU."""
+    """One branch per scale s: avg_pool(s) -> conv1x1 -> BN -> ReLU; scale 1,
+    whose pool is the identity, starts at the conv."""
 
     def __init__(self, cfg: PyramidConfig, rng, name="tpp"):
         super().__init__()
         c = cfg.channels
-        self.branches = [Sequential(AvgPool1d(s),
+        self.branches = [Sequential(*([AvgPool1d(s)] if s > 1 else []),
                                     Conv1d(c, c, 1, rng, f"{name}.s{s}.conv"),
                                     BatchNorm1d(c, f"{name}.s{s}.bn"), Relu())
                          for s in cfg.scales]

@@ -6,7 +6,8 @@ Exit codes (machine-readable error categories):
     3  missing input path
     4  file-format error (feature files, checkpoints, manifests, score CSVs,
        a directory given as a file or a file as a directory)
-    5  numeric failure (non-finite loss, failed gradient check, undefined metric)
+    5  numeric failure (non-finite loss or gradient, failed gradient check,
+       undefined metric)
 """
 
 from __future__ import annotations

@@ -122,13 +122,15 @@ def read_container(path, magic):
 
 
 def _checked_feature(arrays, path):
-    """The one array of a feature file: rank 1..3, no empty extent."""
+    """The one array of a feature file: rank 1..3, no empty extent, finite."""
     tensor = arrays.get(FEATURE_ARRAY)
     if tensor is None or len(arrays) != 1:
         raise FeatureFileError(f"{path}: expected the one array {FEATURE_ARRAY!r}")
     if not 1 <= tensor.ndim <= 3 or min(tensor.shape) < 1:
         raise FeatureFileError(f"{path}: shape {tensor.shape} needs rank 1..3 "
                                "and no empty extent")
+    if not np.isfinite(tensor).all():
+        raise FeatureFileError(f"{path}: non-finite feature value")
     return tensor
 
 
@@ -225,6 +227,7 @@ def load_dataset(in_dir):
     if not manifest.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {in_dir}")
     records = []
+    first_line = {}  # video id -> the manifest line that named it
     with open(manifest, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             where = f"{manifest}:{lineno}"
@@ -245,6 +248,10 @@ def load_dataset(in_dir):
                 raise FeatureFileError(
                     f"{where}: a row must be an object with string 'id' "
                     "and 'label' and a list of strings 'feature_files'")
+            if row["id"] in first_line:
+                raise FeatureFileError(f"{where}: video id {row['id']!r} "
+                                       f"repeats line {first_line[row['id']]}")
+            first_line[row["id"]] = lineno
             crops = [read_feature_file(in_dir / rel) for rel in row["feature_files"]]
             frame_gt = _numbers(row, "frame_gt", where)
             pseudo_probs = _numbers(row, "pseudo_probs", where)

@@ -13,8 +13,8 @@ Conventions (pinned by tests):
     (count-exclude-pad).
   - max_pool1d pads with -inf; the sentinel never wins on finite input.
 
-Summation order (pinned byte for byte against numpy references in
-tests/test_kernel.py):
+Summation order (pinned against numpy references in tests/test_kernel.py,
+byte for byte unless a bound is named):
   - conv1d is one gemm, out = W[Cout, Cin*K] @ cols[Cin*K, B*T'], where
     cols (im2col) holds tap k of input channel c in row c*K + k. The result
     is returned as a view: [B, Cout, T'] indexing, [Cout, B, T'] in memory.
@@ -23,15 +23,9 @@ tests/test_kernel.py):
     padded input. These are the operands, shapes and layouts numpy's
     optimized einsum hands to matmul for the window-view formulation, so
     every result has its bytes (Cin = 1 with B = 1 or K = 1 excepted).
-  - avg_pool1d adds the taps of each window in the order numpy's pairwise
-    summation adds the elements of one window, so each output has the bytes
-    of numpy's sum over the window of a C-contiguous or channel-major input
-    (numpy sums windows of 8 or more taps one by one instead when time is
-    not the fastest-varying axis of an unpadded input; the model makes no
-    such input). Windows of 8 or more taps share their lanes: the running
-    sum over taps j, j+8, ... of window t is that over taps 0, 8, ... of
-    window t + j, so one lane array over every padded position, and two
-    shifted-view combines of it, serve all windows.
+  - avg_pool1d and its backward sum each window as a difference of two prefix
+    sums: an output is within 2*L*eps*sum(|row|)/count of exact, L being the
+    padded row's length.
   - batch_norm1d's training statistics have the bytes of x.mean and x.var
     over (B, T): one sum divided by the count, the centred input computed
     once for the variance and xhat. Its backward keeps the reference
@@ -168,47 +162,15 @@ def _pool_length(T, kernel, padding):
     return Tp - kernel + 1
 
 
-def _add(a, b):
-    """a + b, written into `a` when it is a scratch array rather than a view."""
-    return np.add(a, b, out=a if a.base is None else None)
-
-
-def _window_sums(xp, n, count):
-    """[B, C, count]: the sum of the n taps xp[:, :, p:p + n] for each p <
-    count, added in numpy's pairwise order (`pairwise_sum`).
-
-    numpy sums a row of n elements as follows: below 8 one by one, from 0.0
-    as a reduction starts; up to 128 in 8 running lane sums r_j over
-    elements j, j+8, ... of the largest multiple of 8, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one; above 128
-    as the sum of two halves, the first a multiple of 8 long. Lane j of
-    window p is lane 0 of window p + j, so one lane array L serves all
-    eight: P[p] = L[p] + L[p+1] holds r0+r1 of window p (and r2+r3 of window
-    p - 2), Q[p] = P[p] + P[p+2] its first four lanes, and the eight lanes
-    are Q[p] + Q[p+4]. At most two arrays about the output's size are live.
-    """
-    if n < 8:
-        acc = xp[:, :, :count] + 0.0
-        for k in range(1, n):
-            acc += xp[:, :, k:k + count]
-        return acc
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _add(_window_sums(xp, half, count),
-                    _window_sums(xp[:, :, half:], n - half, count))
-    body = n - n % 8
-    lanes = xp[:, :, :count + 7]
-    for k in range(8, body, 8):
-        lanes = _add(lanes, xp[:, :, k:k + count + 7])
-    pairs = lanes[:, :, :-1] + lanes[:, :, 1:]
-    del lanes
-    quads = pairs[:, :, :-2] + pairs[:, :, 2:]
-    del pairs
-    acc = quads[:, :, :count] + quads[:, :, 4:]
-    del quads
-    for k in range(body, n):
-        acc += xp[:, :, k:k + count]
-    return acc
+def _window_sums(x, n, padding):
+    """[B, C, T + 2*padding - n + 1]: the sum of each n-wide window of `x`
+    zero-padded by `padding` at both ends, as S[t + n] - S[t] of the padded
+    input's prefix sums S (S[0] = 0)."""
+    B, C, T = x.shape
+    S = np.zeros((B, C, T + 2 * padding + 1))
+    np.cumsum(x, axis=2, out=S[:, :, padding + 1:padding + 1 + T])
+    S[:, :, padding + 1 + T:] = S[:, :, padding + T, None]
+    return S[:, :, n:] - S[:, :, :-n]
 
 
 def avg_pool1d(x, kernel, padding=0):
@@ -220,22 +182,17 @@ def avg_pool1d(x, kernel, padding=0):
               - np.maximum(starts, padding)).astype(np.float64)
     if np.any(counts < 1):
         raise DimensionError("avg_pool1d: window contains no in-bounds elements")
-    out = _window_sums(_pad_time(x, padding), kernel, To)
-    if kernel >= 8:
-        out += 0.0  # the reduction's 0.0 start: an all -0.0 sum becomes 0.0
+    out = _window_sums(x, kernel, padding)
     out /= counts
-    return out, (x.shape, kernel, padding, counts)
+    return out, (kernel, padding, counts)
 
 
 def avg_pool1d_backward(g, cache):
-    (B, C, T), kernel, padding, counts = cache
-    gd = g / counts
-    dxp = np.zeros((B, C, T + 2 * padding))
-    To = g.shape[2]
-    # tap k of window t lands on padded position t + k
-    for k in range(kernel):
-        dxp[:, :, k:k + To] += gd
-    return dxp[:, :, padding:padding + T] if padding else dxp
+    """The adjoint of a stride-1 window sum is the same sum over the output
+    gradient padded by kernel - 1 - padding (>= 0 when every window holds an
+    in-bounds element); its length is the input's."""
+    kernel, padding, counts = cache
+    return _window_sums(g / counts, kernel, kernel - 1 - padding)
 
 
 def max_pool1d(x, kernel, padding=0):

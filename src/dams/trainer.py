@@ -437,6 +437,10 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
             continue
         except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"iteration {it + 1}: {exc}") from exc
+        bad = next((p for p in params if not np.isfinite(p.grad).all()), None)
+        if bad is not None:
+            raise NonFiniteLossError(f"iteration {it + 1}: non-finite gradient of "
+                                     f"{bad.name} on videos {batch.video_ids}")
         opt.step()
         entry = {"iter": it + 1,
                  "l_pse": breakdown.l_pse, "l_cls": breakdown.l_cls,

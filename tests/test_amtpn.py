@@ -43,12 +43,15 @@ class TestTpp:
         assert all(b.shape == (2, 8, 13) for b in branches)
 
     def test_unit_scale_is_conv_bn_relu_of_input(self):
-        # scale 1: pooling is the identity, so the branch must equal
-        # relu(bn(conv1x1(x))) computed with the same parameters
+        # scale 1: pooling is the identity, so the branch has no pool and
+        # must equal relu(bn(conv1x1(x))) computed with the same parameters
         tpp = Tpp(PyramidConfig(scales=(1,), channels=4, reduction_ratio=2), rng(2))
         x = rng(3).standard_normal((2, 4, 6))
         branch = tpp.forward(x, train=True)[0]
-        _, conv, bn, _ = tpp.branches[0].layers
+        layers = tpp.branches[0].layers
+        assert [type(layer).__name__ for layer in layers] == [
+            "Conv1d", "BatchNorm1d", "Relu"]
+        conv, bn, _ = layers
         conv_out, _ = kernel.conv1d(x, conv.w.value, conv.b.value, 0)
         state = kernel.BatchNormState.create(4)
         bn_out, _ = kernel.batch_norm1d(x=conv_out, gamma=bn.gamma.value,

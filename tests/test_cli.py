@@ -10,7 +10,8 @@ import pytest
 
 from dams.cli import (EXIT_CONFIG, EXIT_FORMAT, EXIT_MISSING, EXIT_NUMERIC,
                       EXIT_OK, main)
-from dams.data import load_dataset, write_feature_file
+from dams.data import (FEATURE_MAGIC, load_dataset, read_feature_file,
+                       write_container, write_feature_file)
 from dams.metrics import average_precision, roc_auc
 from dams.trainer import (ABLATION_VARIANTS, EvalReport, apply_variant,
                           config_from_dict, config_hash, load_checkpoint,
@@ -405,6 +406,33 @@ class TestEvalScorePlot:
         code = main(["eval", "--dataset", str(dataset),
                      "--checkpoint", str(partial)])
         assert code == EXIT_FORMAT
+
+    @pytest.mark.parametrize("command", ["train", "eval", "score"])
+    @pytest.mark.parametrize("fault", ["nan-feature", "inf-feature", "repeated-id"])
+    def test_dataset_fault_exit_code_names_file(self, tmp_path, dataset, trained,
+                                                capsys, command, fault):
+        manifest = dataset / "manifest.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        if fault == "repeated-id":
+            rows[4]["id"] = rows[1]["id"]
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            message = f"{manifest}:5: video id {rows[1]['id']!r} repeats line 2"
+        else:
+            path = dataset / rows[3]["feature_files"][0]
+            x = read_feature_file(path)
+            x[0, 1] = np.nan if fault == "nan-feature" else np.inf
+            write_container(path, FEATURE_MAGIC, {}, {"features": x})
+            message = f"{path}: non-finite feature value"
+        out = tmp_path / "out"
+        argv = [command, "--dataset", str(dataset), "--out", str(out)]
+        if command == "train":
+            argv += ["--config", write_config(tmp_path)]
+        else:
+            argv += ["--checkpoint", str(trained / "checkpoint_final.ckpt")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: format: {message}\n"
+        assert not out.exists()
 
     def test_malformed_manifest_exit_code(self, tmp_path, dataset, trained):
         manifest = dataset / "manifest.jsonl"

@@ -82,6 +82,18 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError):
             write_feature_file(tmp_path / "r4.feat", np.zeros((1, 1, 1, 1)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_at_write_and_read(self, tmp_path, value):
+        x = np.ones((2, 3))
+        x[1, 2] = value
+        path = tmp_path / "nf.feat"
+        with pytest.raises(FeatureFileError, match=re.escape(f"{path}: non-finite")):
+            write_feature_file(path, x)
+        assert not path.exists()
+        write_container(path, b"DAMSFEAT", {}, {"features": x})
+        with pytest.raises(FeatureFileError, match=re.escape(f"{path}: non-finite")):
+            read_feature_file(path)
+
     def test_byte_deterministic(self, tmp_path):
         x = rng(3).standard_normal((3, 5))
         write_feature_file(tmp_path / "1.feat", x)
@@ -546,6 +558,14 @@ class TestManifestRows:
         write_feature_file(tmp_path / "short.feat", np.zeros((2, 3)))
         manifest.write_text(manifest.read_text() + json.dumps(row) + "\n")
         with pytest.raises(FeatureFileError, match=re.escape(f"{manifest}:2: ")):
+            load_dataset(tmp_path)
+
+    def test_repeated_id_is_a_format_error_naming_both_lines(self, tmp_path):
+        manifest = self._dataset(tmp_path)
+        row = json.dumps(self.GOOD) + "\n"
+        manifest.write_text(manifest.read_text() + row + row)
+        with pytest.raises(FeatureFileError, match=re.escape(
+                f"{manifest}:3: video id 'v1' repeats line 2")):
             load_dataset(tmp_path)
 
     def test_invalid_utf8_is_a_format_error_with_line(self, tmp_path):

@@ -1,5 +1,7 @@
 """Numeric kernel: worked examples, invariants, and gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,11 +58,29 @@ class TestConv1d:
         np.testing.assert_array_equal(out, arr3([[[2, 1, 0]]]))
 
 
+def assert_within_prefix_sum_bound(got, ref, x, padding, counts=1.0):
+    """|got - ref| <= 2*L*eps*sum(|row of x|)/count elementwise, with L =
+    T + 2*padding the padded row's length.
+
+    `got` takes each window sum of the padded row as S[t + n] - S[t] of its
+    prefix sums S. A prefix sum of j terms is off by at most (j-1)*u*sum|x|
+    (u = eps/2, first order), the difference and the division by the count
+    add one rounding each: at most 2*T*u*sum|x|/count. A reference that adds
+    the at most L terms of one window and divides adds (L-1)*u*sum|x|/count
+    and one rounding. Both together stay below 4*L*u = 2*L*eps.
+    """
+    assert got.shape == ref.shape
+    L = x.shape[2] + 2 * padding
+    row = np.abs(x).sum(axis=2, keepdims=True)
+    bound = 2 * L * np.finfo(np.float64).eps * row / counts
+    assert (np.abs(got - ref) <= bound).all(), np.max(np.abs(got - ref) / bound)
+
+
 class TestPooling:
     def test_avg_unit_kernel_identity(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 5))
         out, _ = kernel.avg_pool1d(x, 1)
-        np.testing.assert_array_equal(out, x)
+        assert_within_prefix_sum_bound(out, x, x, 0)
 
     def test_avg_edge_divisor_excludes_padding(self):
         out, _ = kernel.avg_pool1d(arr3([[[2, 4, 6]]]), 3, padding=1)
@@ -97,7 +117,9 @@ class TestPooling:
 
 def avg_pool1d_backward_scatter(g, cache):
     """Reference: scatter each window tap through a fancy index."""
-    (B, C, T), kernel_size, padding, counts = cache
+    kernel_size, padding, counts = cache
+    B, C, To = g.shape
+    T = To + kernel_size - 1 - 2 * padding
     gd = g / counts
     dxp = np.zeros((B, C, T + 2 * padding))
     starts = np.arange(g.shape[2])
@@ -121,12 +143,16 @@ POOL_GEOMETRIES = (
 class TestAvgPoolBackward:
     @pytest.mark.parametrize("kernel_size,batch,padding,T", POOL_GEOMETRIES)
     def test_bit_identical_to_scatter(self, kernel_size, batch, padding, T):
+        """The backward is the window sum of g / counts padded by
+        kernel - 1 - padding; it is within that sum's prefix-sum bound of
+        the scatter reference (the name keeps the test ids)."""
         rng = np.random.default_rng([kernel_size, batch, padding, T])
         x = rng.standard_normal((batch, 3, T))
         out, cache = kernel.avg_pool1d(x, kernel_size, padding)
         g = rng.standard_normal(out.shape)
-        assert np.array_equal(kernel.avg_pool1d_backward(g, cache),
-                              avg_pool1d_backward_scatter(g, cache))
+        assert_within_prefix_sum_bound(kernel.avg_pool1d_backward(g, cache),
+                                       avg_pool1d_backward_scatter(g, cache),
+                                       g / cache[2], kernel_size - 1 - padding)
 
     @pytest.mark.parametrize("kernel_size,batch,padding,T",
                              [(9, 1, 4, 12), (9, 2, 4, 12), (27, 1, 13, 30),
@@ -242,34 +268,50 @@ class TestConvGemmBytes:
 
 
 class TestAvgPoolTapBytes:
-    """avg_pool1d as shifted-tap sums gives the window-sum reference's bytes."""
+    """avg_pool1d as prefix-sum differences stays within their error bound of
+    the window-sum reference, in both input layouts."""
 
     @pytest.mark.parametrize("kernel_size,batch,padding,T", POOL_GEOMETRIES)
     @pytest.mark.parametrize("layout", ["c", "cm"])
     def test_pool_geometries(self, kernel_size, batch, padding, T, layout):
         x = wide_range(np.random.default_rng([kernel_size, T]), (batch, 3, T), layout)
-        out, _ = kernel.avg_pool1d(x, kernel_size, padding)
-        assert_same_array(out, avg_pool1d_window_sum(x, kernel_size, padding))
+        out, (_, _, counts) = kernel.avg_pool1d(x, kernel_size, padding)
+        assert_within_prefix_sum_bound(
+            out, avg_pool1d_window_sum(x, kernel_size, padding), x, padding, counts)
 
-    # 8 and 16 taps start the unrolled sums; 129 and 300 split in halves
     @pytest.mark.parametrize("kernel_size", list(range(1, 41)) + [129, 300])
     @pytest.mark.parametrize("layout", ["c", "cm"])
     def test_kernels_and_strides(self, kernel_size, layout):
         """Every kernel, unpadded and padded by kernel // 2, on two videos in
-        both memory layouts: the output's bytes and strides match."""
+        both memory layouts (all at stride 1; the name keeps the test ids)."""
         rng = np.random.default_rng(kernel_size)
         for padding in sorted({0, kernel_size // 2}):
             x = wide_range(rng, (2, 3, kernel_size + 3), layout)
-            out, _ = kernel.avg_pool1d(x, kernel_size, padding)
-            assert_same_array(out, avg_pool1d_window_sum(x, kernel_size, padding))
+            out, (_, _, counts) = kernel.avg_pool1d(x, kernel_size, padding)
+            assert_within_prefix_sum_bound(
+                out, avg_pool1d_window_sum(x, kernel_size, padding), x, padding,
+                counts)
 
     @pytest.mark.parametrize("kernel_size", [1, 2, 3, 7, 8, 9, 16, 27, 40])
     def test_negative_zero_window(self, kernel_size):
+        """A row of -0.0 pools to zeros. Their sign is not pinned: window 0
+        is S[n] - S[0] = -0.0 - 0.0, where numpy's sum starts from +0.0."""
         x = np.full((2, 3, kernel_size + 2), -0.0)
         out, _ = kernel.avg_pool1d(x, kernel_size)
-        ref = avg_pool1d_window_sum(x, kernel_size)
-        assert_same_array(out, ref)
-        assert not np.signbit(ref).any()  # numpy sums from +0.0
+        assert np.array_equal(out, np.zeros_like(out))
+
+    @pytest.mark.parametrize("T", [128, 1024, 4096])
+    @pytest.mark.parametrize("kernel_size", [1, 3, 9, 27])
+    def test_matches_fsum(self, T, kernel_size):
+        """Each output against the correctly rounded window sum (math.fsum)
+        over the count, on N(0.5, 1) rows as long as 4096 frames."""
+        x = np.random.default_rng([T, kernel_size]).normal(0.5, 1.0, (1, 2, T))
+        padding = kernel_size // 2
+        out, (_, _, counts) = kernel.avg_pool1d(x, kernel_size, padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))).tolist()
+        exact = np.array([[[math.fsum(row[t:t + kernel_size]) for t in range(T)]
+                           for row in video] for video in xp]) / counts
+        assert_within_prefix_sum_bound(out, exact, x, padding, counts)
 
 
 def batch_norm1d_reference(x, gamma, beta, state, train):

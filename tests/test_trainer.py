@@ -18,7 +18,7 @@ from dams.amtpn import ConfigError, PyramidConfig
 from dams.cbam import CbamConfig
 from dams.data import (BadMagicError, ChecksumError, FeatureFileError,
                        SyntheticSpec, synthesize_dataset)
-from dams.losses import LossConfig
+from dams.losses import LossConfig, NonFiniteLossError
 from dams.model import ClipPathConfig, ModelConfig
 from dams.trainer import (ABLATION_VARIANTS, Adam, TrainConfig, apply_variant,
                           build_model, config_from_dict, config_hash,
@@ -184,6 +184,31 @@ class TestTraining:
                 == (tmp_path / "b" / "checkpoint_final.ckpt").read_bytes())
         assert ((tmp_path / "a" / "log.jsonl").read_bytes()
                 == (tmp_path / "b" / "log.jsonl").read_bytes())
+
+    def test_non_finite_gradient_names_iteration_parameter_videos(self,
+                                                                monkeypatch):
+        """A NaN gradient stops training before Adam takes it, naming the
+        iteration, the first bad parameter in params() order and the batch."""
+        real = dams.trainer.train_step
+        seen = {}
+
+        def poisoned(model, weights, batch, cfg, iteration):
+            breakdown = real(model, weights, batch, cfg, iteration)
+            if iteration == 1:
+                params = model.params()
+                params[5].grad.flat[-1] = np.inf
+                params[3].grad.flat[0] = np.nan
+                seen.update(params=params, values=[p.value.copy() for p in params],
+                            message=f"iteration 2: non-finite gradient of "
+                                    f"{params[3].name} on videos {batch.video_ids}")
+            return breakdown
+
+        monkeypatch.setattr(dams.trainer, "train_step", poisoned)
+        with pytest.raises(NonFiniteLossError) as info:
+            train(small_config(), small_records())
+        assert str(info.value) == seen["message"]
+        for p, before in zip(seen["params"], seen["values"]):
+            assert np.array_equal(p.value, before)
 
     def test_loss_decreases(self):
         records = small_records(12)
