@@ -18,15 +18,15 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Layer, Linear, Relu,
-                     Sequential, Sigmoid)
+from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Gate, GlobalAvgPool, Layer,
+                     Linear, Relu, Sequential, Sigmoid)
 
 
 class ConfigError(ValueError):
     """Invalid pyramid or model configuration."""
 
 
-class EmptyPyramidError(ValueError):
+class EmptyPyramidError(ConfigError):
     """Fusion was asked to combine zero branches."""
 
 
@@ -82,7 +82,8 @@ class Aff(Layer):
         super().__init__()
         c, r, k = cfg.channels, cfg.reduction_ratio, len(cfg.scales)
         self.k = k
-        self.mlp = Sequential(Linear(c, c // r, rng, f"{name}.mlp1",
+        self.mlp = Sequential(GlobalAvgPool(),
+                              Linear(c, c // r, rng, f"{name}.mlp1",
                                      bias_init=1.0),
                               Relu(),
                               Linear(c // r, c, rng, f"{name}.mlp2"))
@@ -103,17 +104,11 @@ class Aff(Layer):
             raise ConfigError(f"aff_forward: expected {self.k} branches, got {len(branches)}")
         B = branches[0].shape[0]
         if self.head is not None:
-            gap_caches = []
-            descs = []
-            for br in branches:
-                e, gc = kernel.global_avg_pool(br)
-                gap_caches.append(gc)
-                descs.append(self.mlp.forward(e, train))
-            concat = np.concatenate(descs, axis=1)
+            concat = np.concatenate([self.mlp.forward(br, train) for br in branches],
+                                    axis=1)
             logits = self.head.forward(concat, train)
             weights, sm_cache = kernel.softmax(logits, axis=1)
         else:
-            gap_caches = None
             sm_cache = None
             weights = np.full((B, self.k), 1.0 / self.k)
         mix = np.zeros_like(branches[0])
@@ -121,10 +116,10 @@ class Aff(Layer):
             mix += weights[:, i, None, None] * br
         fused = self.refine.forward(mix, train)
         return self._record(train, (fused, weights),
-                            (branches, weights, gap_caches, sm_cache))
+                            (branches, weights, sm_cache))
 
     def backward(self, g_fused):
-        branches, weights, gap_caches, sm_cache = self._caches.pop()
+        branches, weights, sm_cache = self._caches.pop()
         g_mix = self.refine.backward(g_fused)
         g_branches = [weights[:, i, None, None] * g_mix for i in range(self.k)]
         if self.head is not None:
@@ -133,43 +128,28 @@ class Aff(Layer):
             g_concat = self.head.backward(g_logits)
             c = branches[0].shape[1]
             for i in reversed(range(self.k)):
-                g_d = g_concat[:, i * c:(i + 1) * c]
-                g_e = self.mlp.backward(g_d)
-                g_branches[i] = g_branches[i] + kernel.global_avg_pool_backward(
-                    g_e, gap_caches[i])
+                g_branches[i] = g_branches[i] + self.mlp.backward(
+                    g_concat[:, i * c:(i + 1) * c])
         return g_branches
 
 
-class Tce(Layer):
+class Tce(Gate):
     """Channel gate: out = x * sigmoid(W2 relu(W1 gap(x))), broadcast over T."""
 
     def __init__(self, channels, reduction_ratio, rng, name="tce"):
-        super().__init__()
         if channels % reduction_ratio:
             raise ConfigError(
                 f"tce: reduction ratio {reduction_ratio} must divide channels {channels}")
         hidden = channels // reduction_ratio
         # near-zero output layer: the gate starts ~0.5 for every channel
         # instead of a random fixed attenuation
-        self.gate = Sequential(Linear(channels, hidden, rng, f"{name}.w1",
-                                      bias_init=1.0),
-                               Relu(),
-                               Linear(hidden, channels, rng, f"{name}.w2",
-                                      bias_init=0.0, weight_scale=0.1),
-                               Sigmoid())
-
-    def forward(self, x, train=False):
-        z, gap_cache = kernel.global_avg_pool(x)
-        alpha = self.gate.forward(z, train)
-        return self._record(train, x * alpha[:, :, None], (x, alpha, gap_cache))
-
-    def backward(self, g):
-        x, alpha, gap_cache = self._caches.pop()
-        gx = g * alpha[:, :, None]
-        g_alpha = (g * x).sum(axis=2)
-        g_z = self.gate.backward(g_alpha)
-        gx += kernel.global_avg_pool_backward(g_z, gap_cache)
-        return gx
+        super().__init__(Sequential(GlobalAvgPool(),
+                                    Linear(channels, hidden, rng, f"{name}.w1",
+                                           bias_init=1.0),
+                                    Relu(),
+                                    Linear(hidden, channels, rng, f"{name}.w2",
+                                           bias_init=0.0, weight_scale=0.1),
+                                    Sigmoid()))
 
 
 class Amtpn(Layer):

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import kernel
 from .amtpn import ConfigError
-from .layers import Conv1d, Layer, Linear, Relu, Sequential, Sigmoid
+from .layers import (Conv1d, Gate, GlobalAvgPool, Layer, Linear, Relu, Sequential,
+                     Sigmoid)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,22 +44,23 @@ class ChannelAttention(Layer):
                               Relu(),
                               Linear(hidden, channels, rng, f"{name}.mlp2",
                                      bias_init=0.0, weight_scale=0.1))
+        self.avg_pool = GlobalAvgPool()
         self.gate = Sigmoid()
 
     def forward(self, f, train=False):
-        z_avg, gap_cache = kernel.global_avg_pool(f)
+        z_avg = self.avg_pool.forward(f, train)
         z_max, max_cache = kernel.max_pool1d(f, f.shape[2])  # [B, C, 1]
         m = self.gate.forward(self.mlp.forward(z_avg, train)
                               + self.mlp.forward(z_max[:, :, 0], train), train)
-        return self._record(train, m[:, :, None], (gap_cache, max_cache))
+        return self._record(train, m[:, :, None], max_cache)
 
     def backward(self, g_m):
-        gap_cache, max_cache = self._caches.pop()
+        max_cache = self._caches.pop()
         g_logits = self.gate.backward(g_m[:, :, 0])
         # pop order mirrors forward: max branch was applied second
         g_zmax = self.mlp.backward(g_logits)
         g_zavg = self.mlp.backward(g_logits)
-        g_f = kernel.global_avg_pool_backward(g_zavg, gap_cache)
+        g_f = self.avg_pool.backward(g_zavg)
         g_f += kernel.max_pool1d_backward(g_zmax[:, :, None], max_cache)
         return g_f
 
@@ -92,38 +94,19 @@ class TemporalAttention(Layer):
         return g_f
 
 
-class Cbam(Layer):
+class Cbam(Sequential):
     """Sequential gating: f' = M_c(f) * f, then f'' = M_t(f') * f'.
 
     `use_ca` / `use_sa` force the corresponding gate to 1 (stage skipped).
+    The `Gate`s that run are private, so the parameters come from `ca` and
+    `ta`, once each.
     """
 
     def __init__(self, channels, cfg: CbamConfig, rng, name="cbam",
                  use_ca=True, use_sa=True):
-        super().__init__()
+        Layer.__init__(self)
         self.ca = (ChannelAttention(channels, cfg.reduction_ratio, rng, f"{name}.ca")
                    if use_ca else None)
         self.ta = (TemporalAttention(cfg.temporal_kernel, rng, f"{name}.ta")
                    if use_sa else None)
-
-    def forward(self, f, train=False):
-        mc = mt = None
-        f1 = f
-        if self.ca is not None:
-            mc = self.ca.forward(f, train)
-            f1 = f * mc
-        f2 = f1
-        if self.ta is not None:
-            mt = self.ta.forward(f1, train)
-            f2 = f1 * mt
-        return self._record(train, f2, (f, f1, mc, mt))
-
-    def backward(self, g):
-        f, f1, mc, mt = self._caches.pop()
-        if self.ta is not None:
-            g_mt = (g * f1).sum(axis=1, keepdims=True)
-            g = g * mt + self.ta.backward(g_mt)
-        if self.ca is not None:
-            g_mc = (g * f).sum(axis=2, keepdims=True)
-            g = g * mc + self.ca.backward(g_mc)
-        return g
+        self._layers = [Gate(m) for m in (self.ca, self.ta) if m is not None]

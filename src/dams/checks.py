@@ -214,7 +214,7 @@ def check_total_loss(seed, **kw):
 
     def fn():
         l = raw.value ** 2
-        bd = L.total_loss(l[0], l[1], l[2], weights, accumulate_grads=True)
+        bd = L.total_loss(l[0], l[1], l[2], weights)
         raw.grad += bd.weights * 2.0 * raw.value
         return bd.total
     return grad_check(fn, [raw, weights.rho], **kw)

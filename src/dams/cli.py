@@ -173,7 +173,8 @@ def cmd_score(args):
 
 
 def _read_score_csv(path):
-    """{video id: {"scores", "gt"}} from a score CSV; a malformed file raises
+    """{video id: {"scores", "gt"}} from a score CSV. Each video's rows form
+    one block with frames 0, 1, 2, ...; a malformed file raises
     `FeatureFileError` naming `path:LINE`."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -186,18 +187,27 @@ def _read_score_csv(path):
     rows = {}
     try:
         columns = reader.fieldnames
-        if columns is not None and not {"video_id", "score", "gt"} <= set(columns):
-            raise ValueError("needs the columns video_id, score and gt")
+        if columns is not None and not ({"video_id", "frame", "score", "gt"}
+                                        <= set(columns)):
+            raise ValueError("needs the columns video_id, frame, score and gt")
+        last = None
         for row in reader:
             if None in row.values():
                 raise ValueError(f"{len(columns)} columns expected")
+            vid = row["video_id"]
+            if vid != last and vid in rows:
+                raise ValueError(f"video {vid!r} has its rows in more than one block")
+            last = vid
+            entry = rows.setdefault(vid, {"scores": [], "gt": []})
+            if int(row["frame"]) != len(entry["scores"]):
+                raise ValueError(f"frame {row['frame']!r} of video {vid!r}, "
+                                 f"expected {len(entry['scores'])}")
             score = float(row["score"])
             if not math.isfinite(score):
                 raise ValueError(f"score {row['score']!r} is not finite")
             gt = int(row["gt"]) if row["gt"] != "" else 0
             if gt not in (0, 1):
                 raise ValueError(f"gt {row['gt']!r} is not 0 or 1")
-            entry = rows.setdefault(row["video_id"], {"scores": [], "gt": []})
             entry["scores"].append(score)
             entry["gt"].append(gt)
     except (ValueError, csv.Error) as exc:
@@ -217,8 +227,8 @@ def cmd_plot(args):
         selected = [args.video]
     else:
         selected = list(rows)[:args.max_videos]
-    videos = [(vid, [("model", np.asarray(rows[vid]["scores"]))],
-               np.asarray(rows[vid]["gt"])) for vid in selected]
+    videos = [(vid, np.asarray(rows[vid]["scores"]), np.asarray(rows[vid]["gt"]))
+              for vid in selected]
     Path(args.out).write_text(render_score_svg(videos), encoding="utf-8")
     print(f"wrote {len(selected)} panels to {args.out}")
     return EXIT_OK

@@ -11,14 +11,15 @@ forward calls in exact reverse order; `backward` pops the most recent cache.
 
 `Sequential` is the one place that mirror is written, so a chain such as a
 pyramid branch (`AvgPool1d` -> `Conv1d` -> `BatchNorm1d` -> `Relu`) or a
-gating MLP is declared once, as its list of children.
+gating MLP is declared once, as its list of children. `Gate(gate)` is the
+one place a gate's product rule is written: it returns `x * gate(x)`.
 
-A composite module's parameters and persistent state come from its
-attribute tree: `children()` lists the layers held in its public attributes
-in assignment order, and `params()` / `state_arrays()` concatenate theirs.
-Assignment order is therefore parameter order (what Adam and the gradient
-checks index into); a child set to `None` takes no part. Only the leaves
-that own parameters or state list them explicitly.
+Parameters and persistent state come from the attribute tree: `params()`
+takes every `Parameter` attribute and the parameters of every child layer
+(`children()`: the layers in public attributes, a list's in list order), in
+assignment order. Assignment order is therefore parameter order (what Adam
+and the gradient checks index into); an attribute set to `None` takes no
+part. Only `BatchNorm1d` lists its persistent state itself.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ import numpy as np
 
 from . import kernel
 from .kernel import BatchNormState, Parameter
-
-
-def uniform_init(rng, shape, fan_in):
-    bound = math.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 class Layer:
@@ -52,20 +48,23 @@ class Layer:
             p.grad += g
         return dx
 
-    def children(self):
-        """The `Layer`s held in public attributes, in assignment order; a
-        list attribute gives its layers in list order, and `None` is skipped."""
+    def _public(self, kinds):
+        """Values of type `kinds` held in public attributes, in assignment
+        order; a list attribute gives its items in list order."""
         found = []
         for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
-            for v in value if isinstance(value, list) else [value]:
-                if isinstance(v, Layer):
-                    found.append(v)
+            if not name.startswith("_"):
+                for v in value if isinstance(value, list) else (value,):
+                    if isinstance(v, kinds):
+                        found.append(v)
         return found
 
+    def children(self):
+        return self._public(Layer)
+
     def params(self):
-        return [p for child in self.children() for p in child.params()]
+        return [p for v in self._public((Parameter, Layer))
+                for p in (v.params() if isinstance(v, Layer) else (v,))]
 
     def state_arrays(self):
         """Name -> live array of persistent non-parameter state."""
@@ -74,39 +73,69 @@ class Layer:
 
 
 class Sequential(Layer):
-    """Children applied in order; `backward` runs their backwards in reverse."""
+    """Children applied in order; `backward` runs their backwards in reverse.
+    The chain that runs is `_layers`, public as `layers`; a subclass may run
+    wrappers of its children instead (`cbam.Cbam` runs a `Gate` round each)."""
 
     def __init__(self, *layers):
         super().__init__()
-        self.layers = list(layers)
+        self.layers = self._layers = list(layers)
 
     def forward(self, x, train=False):
-        for layer in self.layers:
+        for layer in self._layers:
             x = layer.forward(x, train)
         return x
 
     def backward(self, g):
-        for layer in reversed(self.layers):
+        for layer in reversed(self._layers):
             g = layer.backward(g)
         return g
 
 
-class Conv1d(Layer):
+class Gate(Layer):
+    """`x * gate(x)`. The map is broadcast over the axes where it has size 1
+    or that it lacks at the end (a `[B, C]` map over `[B, C, T]`); its
+    gradient sums `g * x` over those axes."""
+
+    def __init__(self, gate):
+        super().__init__()
+        self.gate = gate
+
+    def forward(self, x, train=False):
+        m = self.gate.forward(x, train)
+        mb = m.reshape(m.shape + (1,) * (x.ndim - m.ndim))
+        return self._record(train, x * mb, (x, mb, m.shape))
+
+    def backward(self, g):
+        x, m, shape = self._caches.pop()
+        axes = tuple(i for i, (n, k) in enumerate(zip(m.shape, x.shape)) if n < k)
+        return g * m + self.gate.backward((g * x).sum(axis=axes).reshape(shape))
+
+
+class _Affine(Layer):
+    """Weight `[out, *fan-in axes]`, then bias `[out]`, each uniform in
+    +-1/sqrt(fan_in). A positive constant `bias_init` keeps every relu unit
+    of a gating MLP on nonnegative descriptors alive; `weight_scale` < 1
+    starts an output layer near neutral (gate ~ 0.5, fusion ~ uniform)."""
+
+    def __init__(self, shape, rng, name, bias_init, weight_scale):
+        super().__init__()
+        bound = math.sqrt(1.0 / math.prod(shape[1:]))
+        self.w = Parameter(weight_scale * rng.uniform(-bound, bound, shape),
+                           f"{name}.w")
+        b = (rng.uniform(-bound, bound, shape[:1]) if bias_init is None
+             else np.full(shape[0], float(bias_init)))
+        self.b = Parameter(b, f"{name}.b")
+
+
+class Conv1d(_Affine):
     """Stride-1 conv padded by `kernel_size // 2` (odd `kernel_size` keeps
     the length)."""
 
     def __init__(self, cin, cout, kernel_size, rng, name,
                  bias_init=None, weight_scale=1.0):
-        super().__init__()
-        fan_in = cin * kernel_size
-        self.w = Parameter(
-            weight_scale * uniform_init(rng, (cout, cin, kernel_size), fan_in),
-            f"{name}.w")
-        if bias_init is None:
-            b = uniform_init(rng, (cout,), fan_in)
-        else:
-            b = np.full(cout, float(bias_init))
-        self.b = Parameter(b, f"{name}.b")
+        super().__init__((cout, cin, kernel_size), rng, name, bias_init,
+                         weight_scale)
         self.padding = kernel_size // 2
 
     def forward(self, x, train=False):
@@ -116,33 +145,16 @@ class Conv1d(Layer):
     def backward(self, g, need_dx=True):
         return self._accumulate(*kernel.conv1d_backward(g, self._caches.pop(), need_dx))
 
-    def params(self):
-        return [self.w, self.b]
 
-
-class Linear(Layer):
+class Linear(_Affine):
     def __init__(self, din, dout, rng, name, bias_init=None, weight_scale=1.0):
-        super().__init__()
-        # bias_init: optional constant bias. Gating MLPs that only ever see
-        # nonnegative pooled descriptors use a positive constant so no hidden
-        # unit starts permanently dead behind its relu. weight_scale < 1 lets
-        # gate output layers start near-neutral (gate ~ 0.5, fusion ~ uniform).
-        self.w = Parameter(weight_scale * uniform_init(rng, (dout, din), din),
-                           f"{name}.w")
-        if bias_init is None:
-            b = uniform_init(rng, (dout,), din)
-        else:
-            b = np.full(dout, float(bias_init))
-        self.b = Parameter(b, f"{name}.b")
+        super().__init__((dout, din), rng, name, bias_init, weight_scale)
 
     def forward(self, x, train=False):
         return self._record(train, *kernel.linear(x, self.w.value, self.b.value))
 
     def backward(self, g):
         return self._accumulate(*kernel.linear_backward(g, self._caches.pop()))
-
-    def params(self):
-        return [self.w, self.b]
 
 
 class BatchNorm1d(Layer):
@@ -159,9 +171,6 @@ class BatchNorm1d(Layer):
 
     def backward(self, g):
         return self._accumulate(*kernel.batch_norm1d_backward(g, self._caches.pop()))
-
-    def params(self):
-        return [self.gamma, self.beta]
 
     def state_arrays(self):
         return {f"{self.name}.running_mean": self.state.running_mean,
@@ -182,6 +191,16 @@ class AvgPool1d(Layer):
 
     def backward(self, g):
         return kernel.avg_pool1d_backward(g, self._caches.pop())
+
+
+class GlobalAvgPool(Layer):
+    """Mean over time: `[B, C, T]` -> `[B, C]`."""
+
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.global_avg_pool(x))
+
+    def backward(self, g):
+        return kernel.global_avg_pool_backward(g, self._caches.pop())
 
 
 class Relu(Layer):

@@ -255,13 +255,11 @@ class UncertaintyWeights:
         return [self.rho]
 
 
-def total_loss(l_pse, l_cls, l_trip, weights: UncertaintyWeights,
-               accumulate_grads=False) -> LossBreakdown:
+def total_loss(l_pse, l_cls, l_trip, weights: UncertaintyWeights) -> LossBreakdown:
     """total = sum_i [ l_i / (2 sigma_i^2) + ln(1 + sigma_i^2) ].
 
-    With accumulate_grads the gradient w.r.t. each rho_i is added to
-    weights.rho.grad; the gradient w.r.t. each l_i is the returned weight
-    1 / (2 sigma_i^2).
+    The gradient w.r.t. each rho_i is added to weights.rho.grad; the
+    gradient w.r.t. each l_i is the returned weight 1 / (2 sigma_i^2).
     """
     losses = np.array([l_pse, l_cls, l_trip], dtype=np.float64)
     if not np.all(np.isfinite(losses)):
@@ -269,6 +267,5 @@ def total_loss(l_pse, l_cls, l_trip, weights: UncertaintyWeights,
     s2 = weights.sigma2
     w = 1.0 / (2.0 * s2)
     total = float((w * losses).sum() + np.log1p(s2).sum())
-    if accumulate_grads:
-        weights.rho.grad += -losses / (2.0 * s2) + s2 / (1.0 + s2)
+    weights.rho.grad += -losses / (2.0 * s2) + s2 / (1.0 + s2)
     return LossBreakdown(float(l_pse), float(l_cls), float(l_trip), total, w, s2)

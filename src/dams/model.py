@@ -50,6 +50,9 @@ class ModelConfig:
             raise ConfigError("input_dim/channels must be positive, depth >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.head_hidden < 0:
+            raise ConfigError(f"head_hidden must be >= 0 (0 picks channels // 2), "
+                              f"got {self.head_hidden}")
         if self.pyramid is None:
             scales = (1, 3, 9, 27) if self.use_tpp else (1,)
             object.__setattr__(self, "pyramid",

@@ -1,8 +1,8 @@
 """Self-contained SVG rendering of per-video anomaly-score curves.
 
-No plotting dependency: the output is plain SVG with one polyline per score
-curve and shaded rectangles over ground-truth anomalous segments, which
-keeps it diffable and easy to assert on in tests.
+No plotting dependency: the output is plain SVG with one polyline per
+video's score curve and shaded rectangles over ground-truth anomalous
+segments, which keeps it diffable and easy to assert on in tests.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ PANEL_W = 640
 PANEL_H = 120
 MARGIN = 28
 
-CURVE_COLORS = ("#e6a817", "#3465a4", "#cc0000")
+CURVE_COLOR = "#e6a817"
 GT_FILL = "#b8e6b8"
 
 
@@ -32,10 +32,10 @@ def _gt_segments(gt):
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def render_video_panel(video_id, curves, gt=None, x0=MARGIN, y0=MARGIN):
-    """SVG fragment for one video: gt shading under labelled score curves."""
+def render_video_panel(video_id, scores, gt=None, x0=MARGIN, y0=MARGIN):
+    """SVG fragment for one video: gt shading under the model's score curve."""
     parts = [f'<text x="{x0}" y="{y0 - 8}" font-size="12">{video_id}</text>']
-    n = max(len(c) for _, c in curves)
+    n = len(scores)
     if gt is not None and len(gt):
         step = PANEL_W / max(1, n - 1) if n > 1 else PANEL_W
         for a, b in _gt_segments(gt):
@@ -45,25 +45,23 @@ def render_video_panel(video_id, curves, gt=None, x0=MARGIN, y0=MARGIN):
                          f'height="{PANEL_H}" fill="{GT_FILL}"/>')
     parts.append(f'<rect x="{x0}" y="{y0}" width="{PANEL_W}" height="{PANEL_H}" '
                  'fill="none" stroke="#888"/>')
-    for i, (label, values) in enumerate(curves):
-        color = CURVE_COLORS[i % len(CURVE_COLORS)]
-        pts = _polyline_points(values, x0, y0, PANEL_W, PANEL_H)
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"><title>{label}</title>'
-                     '</polyline>')
+    pts = _polyline_points(scores, x0, y0, PANEL_W, PANEL_H)
+    parts.append(f'<polyline points="{pts}" fill="none" '
+                 f'stroke="{CURVE_COLOR}" stroke-width="1.5"><title>model</title>'
+                 '</polyline>')
     return "\n".join(parts)
 
 
 def render_score_svg(videos):
     """Full SVG document.
 
-    `videos` is a list of (video_id, curves, gt) with curves a list of
-    (label, score array) and gt an optional binary array.
+    `videos` is a list of (video_id, score array, gt) with gt an optional
+    binary array.
     """
     panels = []
     y = MARGIN
-    for video_id, curves, gt in videos:
-        panels.append(render_video_panel(video_id, curves, gt, MARGIN, y))
+    for video_id, scores, gt in videos:
+        panels.append(render_video_panel(video_id, scores, gt, MARGIN, y))
         y += PANEL_H + 2 * MARGIN
     width = PANEL_W + 2 * MARGIN
     height = y

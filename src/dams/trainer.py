@@ -219,13 +219,13 @@ def _restore_state(arrays, state, prefix=""):
         dst[...] = src
 
 
-def _meta_value(meta, key, convert):
-    """`convert(meta[key])`; a missing or ill-typed entry is a format error."""
-    try:
-        return convert(meta[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FeatureFileError(
-            f"checkpoint meta entry {key!r} is missing or invalid") from exc
+def _meta_value(meta, key, kind, ok=lambda value: True):
+    """`meta[key]` when it is a `kind`, not a bool, that `ok` accepts; a
+    missing or invalid entry is a format error."""
+    value = meta.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool) or not ok(value):
+        raise FeatureFileError(f"checkpoint meta entry {key!r} is missing or invalid")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def train_step(model: DamsModel, weights: UncertaintyWeights, batch: Batch,
                 cfg.loss.triplet_margin)
             trip_grads = (d_fa, d_fp, d_fn)
 
-    breakdown = L.total_loss(l_pse, l_cls, l_trip, weights, accumulate_grads=True)
+    breakdown = L.total_loss(l_pse, l_cls, l_trip, weights)
     w_pse, w_cls, w_trip = breakdown.weights
 
     d_logits = np.zeros_like(out.frame_logits)
@@ -409,10 +409,12 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
         if meta.get("config_hash") != cfg_hash:
             raise ConfigError("checkpoint config hash does not match the run config")
         _restore_state(arrays, _all_state(model, weights, opt))
-        opt.t = _meta_value(meta, "adam_t", int)
-        start_iter = _meta_value(meta, "iteration", int)
-        best_auc = _meta_value(meta, "best_auc", float)
-        best_iteration = _meta_value(meta, "best_iteration", int)
+        opt.t, start_iter = (_meta_value(meta, key, int, lambda v: v >= 0)
+                             for key in ("adam_t", "iteration"))
+        # -1 in either best_* entry records that no validation pass ran
+        best_auc = float(_meta_value(meta, "best_auc", (int, float),
+                                     lambda v: v == -1.0 or 0.0 <= v <= 1.0))
+        best_iteration = _meta_value(meta, "best_iteration", int, lambda v: v >= -1)
         # the best/ arrays are checked even when -1.0 (no validation pass
         # ran) says there is no best yet
         best_state = snapshot_state()

@@ -126,7 +126,7 @@ class TestAff:
 class TestTce:
     def test_zero_logits_halve(self):
         tce = Tce(8, 2, rng(0))
-        lin2 = tce.gate.layers[2]
+        lin2 = tce.gate.layers[3]
         lin2.w.value[...] = 0.0
         lin2.b.value[...] = 0.0
         x = rng(1).standard_normal((2, 8, 5))
@@ -141,7 +141,7 @@ class TestTce:
     def test_hand_scalar_chain(self):
         # C=2, r=2, T=1: gap is the input itself; unit weights, zero biases
         tce = Tce(2, 2, rng(4))
-        lin1, _, lin2, _ = tce.gate.layers
+        _, lin1, _, lin2, _ = tce.gate.layers
         lin1.w.value[...] = np.ones((1, 2))
         lin1.b.value[...] = 0.0
         lin2.w.value[...] = np.ones((2, 1))

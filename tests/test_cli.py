@@ -117,10 +117,16 @@ class TestTrain:
         ({"learning_rate": float("nan")}, [], "learning_rate and adam_eps must be"),
         ({"learning_rate": float("inf")}, [], "learning_rate and adam_eps must be"),
         ({"loss": {"focal_gamma": float("nan")}}, [], "focal_gamma must be finite"),
+        ({"model": dict(SMALL_MODEL_JSON["model"],
+                        pyramid={"scales": [], "channels": 8})}, [],
+         "pyramid needs at least one scale"),
+        ({"model": dict(SMALL_MODEL_JSON["model"], head_hidden=-5)}, [],
+         "head_hidden must be >= 0"),
     ], ids=["input-dim", "float-seed", "bool-batch-size", "string-float",
             "string-bool", "int-scales", "float-scale", "list-loss",
             "negative-seed", "negative-seed-flag", "nan-learning-rate",
-            "infinite-learning-rate", "nan-focal-gamma"])
+            "infinite-learning-rate", "nan-focal-gamma", "empty-scales",
+            "negative-head-hidden"])
     def test_config_fault_exit_code(self, tmp_path, dataset, capsys,
                                     overrides, flags, message):
         cfg = write_config(tmp_path, **overrides)
@@ -475,9 +481,15 @@ class TestEvalScorePlot:
         (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,nan,1\n", 3),
         (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,0\nv,2,-inf,0\n", 4),
         (b"video_id,frame,score,gt\nv,0,0.5,7\n", 2),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,0\nw,0,0.5,0\nw,1,0.5,0\n"
+         b"v,0,0.5,0\nv,1,0.5,0\n", 6),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,1,0.5,0\nv,1,0.5,0\n", 4),
+        (b"video_id,frame,score,gt\nv,0,0.5,0\nv,5,0.5,0\n", 3),
+        (b"video_id,score,gt\nv,0.5,0\n", 1),
     ], ids=["valid", "non-numeric-score", "no-video_id", "short-row",
             "non-integer-gt", "not-utf8", "nan-score", "inf-score",
-            "non-binary-gt"])
+            "non-binary-gt", "split-video", "repeated-frame", "skipped-frame",
+            "no-frame-column"])
     def test_plot_bad_scores_csv_exit_code_names_line(self, tmp_path, capsys,
                                                       blob, line):
         scores = tmp_path / "scores.csv"

@@ -348,7 +348,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("key", ["adam_t", "iteration", "best_auc",
                                      "best_iteration"])
-    @pytest.mark.parametrize("value", [None, "abc"])
+    @pytest.mark.parametrize("value", [None, "abc", -3, 2.5, True])
     def test_resume_bad_meta_entry_names_it(self, tmp_path, key, value):
         records = small_records()
         cfg = small_config()
@@ -454,7 +454,7 @@ class TestEvaluate:
 
 
 MODULE_CLASSES = {"Conv1d", "Linear", "BatchNorm1d", "AvgPool1d", "Relu",
-                  "Sigmoid", "Sequential", "Tpp", "Aff", "Tce", "ChannelAttention",
+                  "Sigmoid", "Sequential", "Gate", "GlobalAvgPool", "Tpp", "Aff", "Tce", "ChannelAttention",
                   "TemporalAttention", "Cbam", "Amtpn", "Backbone", "Head",
                   "DamsModel"}
 
