@@ -18,8 +18,8 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Gate, GlobalAvgPool, Layer,
-                     Linear, Relu, Sequential, Sigmoid)
+from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Gate, Layer, Linear, Mean,
+                     Relu, Sequential, Sigmoid)
 
 
 class ConfigError(ValueError):
@@ -82,7 +82,7 @@ class Aff(Layer):
         super().__init__()
         c, r, k = cfg.channels, cfg.reduction_ratio, len(cfg.scales)
         self.k = k
-        self.mlp = Sequential(GlobalAvgPool(),
+        self.mlp = Sequential(Mean(2),
                               Linear(c, c // r, rng, f"{name}.mlp1",
                                      bias_init=1.0),
                               Relu(),
@@ -143,7 +143,7 @@ class Tce(Gate):
         hidden = channels // reduction_ratio
         # near-zero output layer: the gate starts ~0.5 for every channel
         # instead of a random fixed attenuation
-        super().__init__(Sequential(GlobalAvgPool(),
+        super().__init__(Sequential(Mean(2),
                                     Linear(channels, hidden, rng, f"{name}.w1",
                                            bias_init=1.0),
                                     Relu(),

@@ -12,10 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from . import kernel
 from .amtpn import ConfigError
-from .layers import (Conv1d, Gate, GlobalAvgPool, Layer, Linear, Relu, Sequential,
-                     Sigmoid)
+from .layers import Conv1d, Gate, Layer, Linear, Max, Mean, Relu, Sequential, Sigmoid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,25 +42,21 @@ class ChannelAttention(Layer):
                               Relu(),
                               Linear(hidden, channels, rng, f"{name}.mlp2",
                                      bias_init=0.0, weight_scale=0.1))
-        self.avg_pool = GlobalAvgPool()
+        self.avg_pool, self.max_pool = Mean(2), Max(2)
         self.gate = Sigmoid()
 
     def forward(self, f, train=False):
-        z_avg = self.avg_pool.forward(f, train)
-        z_max, max_cache = kernel.max_pool1d(f, f.shape[2])  # [B, C, 1]
-        m = self.gate.forward(self.mlp.forward(z_avg, train)
-                              + self.mlp.forward(z_max[:, :, 0], train), train)
-        return self._record(train, m[:, :, None], max_cache)
+        m = self.gate.forward(self.mlp.forward(self.avg_pool.forward(f, train), train)
+                              + self.mlp.forward(self.max_pool.forward(f, train), train),
+                              train)
+        return m[:, :, None]
 
     def backward(self, g_m):
-        max_cache = self._caches.pop()
         g_logits = self.gate.backward(g_m[:, :, 0])
         # pop order mirrors forward: max branch was applied second
         g_zmax = self.mlp.backward(g_logits)
         g_zavg = self.mlp.backward(g_logits)
-        g_f = self.avg_pool.backward(g_zavg)
-        g_f += kernel.max_pool1d_backward(g_zmax[:, :, None], max_cache)
-        return g_f
+        return self.avg_pool.backward(g_zavg) + self.max_pool.backward(g_zmax)
 
 
 class TemporalAttention(Layer):
@@ -74,24 +68,17 @@ class TemporalAttention(Layer):
         self.conv = Conv1d(2, 1, kernel_size, rng, f"{name}.conv",
                            bias_init=0.0, weight_scale=0.1)
         self.gate = Sigmoid()
+        self.avg_pool, self.max_pool = Mean(1), Max(1)
 
     def forward(self, f, train=False):
-        avg_map = f.mean(axis=1, keepdims=True)
-        arg = f.argmax(axis=1)  # [B, T]
-        max_map = np.take_along_axis(f, arg[:, None, :], axis=1)
-        pooled = np.concatenate([avg_map, max_map], axis=1)  # [B, 2, T]
-        m = self.gate.forward(self.conv.forward(pooled, train), train)
-        return self._record(train, m, (f.shape, arg))
+        pooled = np.stack([self.avg_pool.forward(f, train),
+                           self.max_pool.forward(f, train)], axis=1)  # [B, 2, T]
+        return self.gate.forward(self.conv.forward(pooled, train), train)
 
     def backward(self, g_m):
-        (B, C, T), arg = self._caches.pop()
         g_pooled = self.conv.backward(self.gate.backward(g_m))
-        g_f = np.repeat(g_pooled[:, 0:1, :] / C, C, axis=1)
-        g_max = g_pooled[:, 1, :]
-        bi = np.arange(B)[:, None]
-        ti = np.arange(T)[None, :]
-        g_f[bi, arg, ti] += g_max
-        return g_f
+        return (self.avg_pool.backward(g_pooled[:, 0])
+                + self.max_pool.backward(g_pooled[:, 1]))
 
 
 class Cbam(Sequential):

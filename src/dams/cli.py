@@ -96,6 +96,13 @@ def _load_train_config(args, records):
     return cfg
 
 
+def _check_input_dim(cfg, records):
+    """The model must read the dataset's one feature dimension."""
+    if cfg.model.input_dim != records[0].input_dim:
+        raise ConfigError(f"model.input_dim {cfg.model.input_dim} differs from "
+                          f"the dataset's feature dimension {records[0].input_dim}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -123,9 +130,7 @@ def cmd_train(args):
         raise ConfigError(f"--val-fraction must lie in [0, 1), got {args.val_fraction}")
     records = load_dataset(args.dataset)
     cfg = _load_train_config(args, records)
-    if cfg.model.input_dim != records[0].input_dim:
-        raise ConfigError(f"model.input_dim {cfg.model.input_dim} differs from "
-                          f"the dataset's feature dimension {records[0].input_dim}")
+    _check_input_dim(cfg, records)
     train_recs, val_recs = _split_train_val(records, args.val_fraction)
     result = train(cfg, train_recs, val_recs or None, out_dir=args.out,
                    resume=args.resume)
@@ -139,7 +144,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     records = load_dataset(args.dataset)
-    model, _, _ = load_model_for_inference(args.checkpoint)
+    model, cfg, _ = load_model_for_inference(args.checkpoint)
+    _check_input_dim(cfg, records)
     report = evaluate(model, records)
     payload = json.dumps(report.to_dict(), sort_keys=True)
     if args.out is not None:
@@ -165,7 +171,8 @@ def _write_score_csv(path, records, video_scores):
 
 def cmd_score(args):
     records = load_dataset(args.dataset)
-    model, _, _ = load_model_for_inference(args.checkpoint)
+    model, cfg, _ = load_model_for_inference(args.checkpoint)
+    _check_input_dim(cfg, records)
     _write_score_csv(args.out, records,
                      [score_video(model, rec) for rec in records])
     print(f"wrote per-frame scores for {len(records)} videos to {args.out}")

@@ -176,6 +176,10 @@ class VideoRecord:
             gt = np.asarray(self.frame_gt)
             if not ((gt == 0) | (gt == 1)).all():
                 raise ConfigError(f"{self.id}: frame_gt values must be 0 or 1")
+        if self.pseudo_probs is not None:
+            p = np.asarray(self.pseudo_probs)
+            if not ((p >= 0) & (p <= 1)).all():  # NaN fails both comparisons
+                raise ConfigError(f"{self.id}: pseudo_probs must lie in [0, 1]")
 
     @property
     def is_anomalous(self):
@@ -261,6 +265,10 @@ def load_dataset(in_dir):
                                            pseudo_probs=pseudo_probs))
             except ConfigError as exc:  # a row the record rejects is malformed
                 raise FeatureFileError(f"{where}: {exc}") from exc
+            if records[-1].input_dim != records[0].input_dim:
+                raise FeatureFileError(
+                    f"{where}: feature dimension {records[-1].input_dim} differs "
+                    f"from {records[0].input_dim} of line {first_line[records[0].id]}")
     if not records:
         raise FeatureFileError(f"{manifest}: no video rows")
     return records

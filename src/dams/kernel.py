@@ -7,11 +7,12 @@ gradient checker. There is no tape: every composite module calls the
 
 Conventions (pinned by tests):
   - conv1d is cross-correlation (no kernel flip), stride 1, zero padding.
-  - avg_pool1d and max_pool1d run at stride 1: output t is the window at
-    padded positions t .. t + kernel - 1.
-  - avg_pool1d divides by the number of in-bounds elements only
+  - avg_pool1d runs at stride 1: output t is the window at padded positions
+    t .. t + kernel - 1. It divides by the number of in-bounds elements only
     (count-exclude-pad).
-  - max_pool1d pads with -inf; the sentinel never wins on finite input.
+  - mean_over and max_over reduce one whole axis, which the output drops.
+    A tie for the max goes to the first index, which takes the whole
+    gradient.
 
 Summation order (pinned against numpy references in tests/test_kernel.py,
 byte for byte unless a bound is named):
@@ -39,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class DimensionError(ValueError):
@@ -195,37 +196,29 @@ def avg_pool1d_backward(g, cache):
     return _window_sums(g / counts, kernel, kernel - 1 - padding)
 
 
-def max_pool1d(x, kernel, padding=0):
-    """Max pooling; padding uses a -inf sentinel that never wins."""
-    B, C, T = x.shape
-    _pool_length(T, kernel, padding)  # raises on a window that does not fit
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)),
-                constant_values=-np.inf) if padding else x
-    win = sliding_window_view(xp, kernel, axis=2)
-    arg = win.argmax(axis=3)  # first max: deterministic tie rule
-    out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
-    return out, (x.shape, padding, arg)
+def mean_over(x, axis):
+    """Mean along `axis`, which the output drops."""
+    return x.mean(axis=axis), (axis, x.shape[axis])
 
 
-def max_pool1d_backward(g, cache):
-    (B, C, T), padding, arg = cache
-    To = g.shape[2]
-    dxp = np.zeros((B, C, T + 2 * padding))
-    pos = np.arange(To) + arg  # absolute padded positions, [B, C, To]
-    bi = np.arange(B)[:, None, None]
-    ci = np.arange(C)[None, :, None]
-    np.add.at(dxp, (bi, ci, pos), g)
-    return dxp[:, :, padding:padding + T] if padding else dxp
+def mean_over_backward(g, cache):
+    axis, n = cache
+    return np.repeat(np.expand_dims(g / n, axis), n, axis=axis)
 
 
-def global_avg_pool(x):
-    """Mean over the temporal axis: [B, C, T] -> [B, C]."""
-    return x.mean(axis=2), x.shape
+def max_over(x, axis):
+    """Max along `axis`, which the output drops; a tie goes to the first
+    index."""
+    arg = np.expand_dims(x.argmax(axis=axis), axis)
+    return np.take_along_axis(x, arg, axis=axis).squeeze(axis), (x.shape, axis, arg)
 
 
-def global_avg_pool_backward(g, cache):
-    B, C, T = cache
-    return np.repeat(g[:, :, None] / T, T, axis=2)
+def max_over_backward(g, cache):
+    """`g` at each max's index, zero elsewhere."""
+    shape, axis, arg = cache
+    dx = np.zeros(shape)
+    np.put_along_axis(dx, arg, np.expand_dims(g, axis), axis=axis)
+    return dx
 
 
 # ---------------------------------------------------------------------------

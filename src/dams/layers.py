@@ -193,14 +193,32 @@ class AvgPool1d(Layer):
         return kernel.avg_pool1d_backward(g, self._caches.pop())
 
 
-class GlobalAvgPool(Layer):
-    """Mean over time: `[B, C, T]` -> `[B, C]`."""
+class Mean(Layer):
+    """Mean over `axis`, which the output drops (`Mean(2)`: [B, C, T] -> [B, C])."""
+
+    def __init__(self, axis):
+        super().__init__()
+        self.axis = axis
 
     def forward(self, x, train=False):
-        return self._record(train, *kernel.global_avg_pool(x))
+        return self._record(train, *kernel.mean_over(x, self.axis))
 
     def backward(self, g):
-        return kernel.global_avg_pool_backward(g, self._caches.pop())
+        return kernel.mean_over_backward(g, self._caches.pop())
+
+
+class Max(Layer):
+    """Max over `axis`, which the output drops; a tie goes to the first index."""
+
+    def __init__(self, axis):
+        super().__init__()
+        self.axis = axis
+
+    def forward(self, x, train=False):
+        return self._record(train, *kernel.max_over(x, self.axis))
+
+    def backward(self, g):
+        return kernel.max_over_backward(g, self._caches.pop())
 
 
 class Relu(Layer):

@@ -414,7 +414,9 @@ class TestEvalScorePlot:
         assert code == EXIT_FORMAT
 
     @pytest.mark.parametrize("command", ["train", "eval", "score"])
-    @pytest.mark.parametrize("fault", ["nan-feature", "inf-feature", "repeated-id"])
+    @pytest.mark.parametrize("fault", ["nan-feature", "inf-feature", "repeated-id",
+                                       "nan-pseudo", "out-of-range-pseudo",
+                                       "mixed-dim"])
     def test_dataset_fault_exit_code_names_file(self, tmp_path, dataset, trained,
                                                 capsys, command, fault):
         manifest = dataset / "manifest.jsonl"
@@ -423,6 +425,17 @@ class TestEvalScorePlot:
             rows[4]["id"] = rows[1]["id"]
             manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
             message = f"{manifest}:5: video id {rows[1]['id']!r} repeats line 2"
+        elif fault.endswith("-pseudo"):
+            bad = [np.nan] if fault == "nan-pseudo" else [7.0, np.inf]
+            rows[3]["pseudo_probs"][:len(bad)] = bad
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            message = (f"{manifest}:4: {rows[3]['id']}: "
+                       "pseudo_probs must lie in [0, 1]")
+        elif fault == "mixed-dim":
+            path = dataset / rows[3]["feature_files"][0]
+            write_container(path, FEATURE_MAGIC, {},
+                            {"features": read_feature_file(path)[:5]})
+            message = f"{manifest}:4: feature dimension 5 differs from 6 of line 1"
         else:
             path = dataset / rows[3]["feature_files"][0]
             x = read_feature_file(path)
@@ -439,6 +452,21 @@ class TestEvalScorePlot:
         assert main(argv) == EXIT_FORMAT
         assert capsys.readouterr().err == f"error: format: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "score"])
+    def test_checkpoint_dimension_mismatch_exit_code(self, tmp_path, trained,
+                                                     capsys, command):
+        wide = tmp_path / "wide"
+        assert main(["synth", "--out", str(wide)] + SYNTH_ARGS[:2]
+                    + ["--dim", "8"] + SYNTH_ARGS[4:]) == EXIT_OK
+        capsys.readouterr()
+        code = main([command, "--dataset", str(wide), "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(trained / "checkpoint_final.ckpt")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: config: model.input_dim 6 differs from the dataset's "
+            "feature dimension 8\n")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_manifest_exit_code(self, tmp_path, dataset, trained):
         manifest = dataset / "manifest.jsonl"

@@ -96,23 +96,40 @@ class TestPooling:
             kernel.avg_pool1d(np.zeros((1, 1, 3)), kernel=6, padding=1)
 
     def test_max_unit_kernel_identity(self):
-        x = np.random.default_rng(2).standard_normal((2, 3, 5))
-        out, _ = kernel.max_pool1d(x, 1)
-        np.testing.assert_array_equal(out, x)
+        """A max over an axis of length 1 is the input without that axis."""
+        x = np.random.default_rng(2).standard_normal((2, 3, 1))
+        out, _ = kernel.max_over(x, 2)
+        np.testing.assert_array_equal(out, x[:, :, 0])
+        out, _ = kernel.max_over(x.transpose(0, 2, 1), 1)
+        np.testing.assert_array_equal(out, x[:, :, 0])
 
     def test_max_hand_case(self):
-        out, _ = kernel.max_pool1d(arr3([[[1, 5, 2]]]), 3, padding=1)
-        np.testing.assert_array_equal(out, arr3([[[5, 5, 5]]]))
+        """The max of [1, 5, 2] is 5, over time and over channels."""
+        out, _ = kernel.max_over(arr3([[[1, 5, 2]]]), 2)
+        np.testing.assert_array_equal(out, arr3([[5]]))
+        out, _ = kernel.max_over(arr3([[[1], [5], [2]]]), 1)
+        np.testing.assert_array_equal(out, arr3([[5]]))
 
     def test_max_constant_input_constant_output(self):
-        x = np.full((1, 2, 7), 3.5)
-        out, _ = kernel.max_pool1d(x, 3, padding=1)
-        np.testing.assert_array_equal(out, x)
+        """A constant row's max is that constant."""
+        out, _ = kernel.max_over(np.full((1, 2, 7), 3.5), 2)
+        np.testing.assert_array_equal(out, np.full((1, 2), 3.5))
 
     def test_max_padding_sentinel_never_wins(self):
-        x = np.full((1, 1, 4), -100.0)
-        out, _ = kernel.max_pool1d(x, 3, padding=1)
-        np.testing.assert_array_equal(out, np.full((1, 1, 4), -100.0))
+        """An all -100 row gives -100: nothing but the row enters the max."""
+        out, _ = kernel.max_over(np.full((1, 1, 4), -100.0), 2)
+        np.testing.assert_array_equal(out, np.full((1, 1), -100.0))
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_max_tie_goes_to_first_index(self, axis):
+        """Of two equal maxima the first index wins and takes the whole
+        gradient."""
+        x = np.moveaxis(arr3([[[1, 4, 4, 2], [0, 0, 0, 0]]]), 2, axis)
+        out, cache = kernel.max_over(x, axis)
+        np.testing.assert_array_equal(out, arr3([[4, 0]]))
+        dx = kernel.max_over_backward(arr3([[3, 7]]), cache)
+        want = np.moveaxis(arr3([[[0, 3, 0, 0], [7, 0, 0, 0]]]), 2, axis)
+        np.testing.assert_array_equal(dx, want)
 
 
 def avg_pool1d_backward_scatter(g, cache):
@@ -378,17 +395,22 @@ class TestBatchNormBytes:
 
 
 class TestGlobalAvgPool:
+    """`mean_over(x, 2)`, the temporal mean of every descriptor."""
+
     def test_constant(self):
-        out, _ = kernel.global_avg_pool(np.full((2, 3, 5), 1.25))
+        """A constant row's temporal mean is that constant."""
+        out, _ = kernel.mean_over(np.full((2, 3, 5), 1.25), 2)
         np.testing.assert_array_equal(out, np.full((2, 3), 1.25))
 
     def test_arithmetic_mean(self):
-        out, _ = kernel.global_avg_pool(arr3([[[1, 2, 3]]]))
+        """The temporal mean of [1, 2, 3] is 2."""
+        out, _ = kernel.mean_over(arr3([[[1, 2, 3]]]), 2)
         np.testing.assert_array_equal(out, arr3([[2.0]]))
 
     def test_matches_full_width_avg_pool(self):
+        """`mean_over(x, 2)` agrees with one unpadded window of width T."""
         x = np.random.default_rng(3).standard_normal((2, 4, 9))
-        gap, _ = kernel.global_avg_pool(x)
+        gap, _ = kernel.mean_over(x, 2)
         pooled, _ = kernel.avg_pool1d(x, kernel=9, padding=0)
         np.testing.assert_allclose(gap, pooled[:, :, 0], atol=1e-15)
 
@@ -557,6 +579,19 @@ class TestBackwardPasses:
         for seed in range(3):
             report = ALL_CHECKS[name](seed, tolerance=1e-5)
             assert report.passed, f"{name} seed {seed}: {report.max_rel_error}"
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 1, 5), (2, 3, 1)])
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("op", ["mean_over", "max_over"])
+    def test_axis_reduction_gradient(self, op, axis, shape):
+        """Uniform draws hold no tie, which finite differences could not check."""
+        from dams.checks import _op_check
+        out_shape = tuple(n for i, n in enumerate(shape) if i != axis)
+        for seed in range(3):
+            report = _op_check(seed, [(shape, "x")], out_shape,
+                               lambda x: getattr(kernel, op)(x, axis),
+                               getattr(kernel, f"{op}_backward"), tolerance=1e-5)
+            assert report.passed, f"{op} seed {seed}: {report.max_rel_error}"
 
     def test_determinism(self):
         x = np.random.default_rng(5).uniform(-1, 1, (2, 3, 8))

@@ -454,7 +454,7 @@ class TestEvaluate:
 
 
 MODULE_CLASSES = {"Conv1d", "Linear", "BatchNorm1d", "AvgPool1d", "Relu",
-                  "Sigmoid", "Sequential", "Gate", "GlobalAvgPool", "Tpp", "Aff", "Tce", "ChannelAttention",
+                  "Sigmoid", "Sequential", "Gate", "Mean", "Max", "Tpp", "Aff", "Tce", "ChannelAttention",
                   "TemporalAttention", "Cbam", "Amtpn", "Backbone", "Head",
                   "DamsModel"}
 
