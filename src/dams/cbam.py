@@ -56,7 +56,7 @@ class ChannelAttention(Layer):
         # pop order mirrors forward: max branch was applied second
         g_zmax = self.mlp.backward(g_logits)
         g_zavg = self.mlp.backward(g_logits)
-        return self.avg_pool.backward(g_zavg) + self.max_pool.backward(g_zmax)
+        return self.max_pool.backward(g_zmax, into=self.avg_pool.backward(g_zavg))
 
 
 class TemporalAttention(Layer):
@@ -72,13 +72,14 @@ class TemporalAttention(Layer):
 
     def forward(self, f, train=False):
         pooled = np.stack([self.avg_pool.forward(f, train),
-                           self.max_pool.forward(f, train)], axis=1)  # [B, 2, T]
-        return self.gate.forward(self.conv.forward(pooled, train), train)
+                           self.max_pool.forward(f, train)])  # [2, B, T]
+        return self.gate.forward(self.conv.forward(pooled.transpose(1, 0, 2), train),
+                                 train)
 
     def backward(self, g_m):
         g_pooled = self.conv.backward(self.gate.backward(g_m))
-        return (self.avg_pool.backward(g_pooled[:, 0])
-                + self.max_pool.backward(g_pooled[:, 1]))
+        return self.max_pool.backward(g_pooled[:, 1],
+                                      into=self.avg_pool.backward(g_pooled[:, 0]))
 
 
 class Cbam(Sequential):

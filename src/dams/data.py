@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .amtpn import ConfigError
+from .kernel import frame_buffer
 
 FORMAT_VERSION = 2
 FEATURE_MAGIC = b"DAMSFEAT"
@@ -415,7 +416,7 @@ def synthesize_dataset(spec: SyntheticSpec):
 @dataclasses.dataclass
 class Batch:
     video_ids: list
-    features: np.ndarray     # [B, Din, Tmax], zero-padded, first crop
+    features: np.ndarray     # [B, Din, Tmax], zero-padded, first crop; channel-major
     mask: np.ndarray         # [B, Tmax], 1 on real frames
     labels: np.ndarray       # [B], 1 = anomalous
     pseudo_probs: np.ndarray # [B, Tmax], 0 outside mask / when absent
@@ -426,7 +427,7 @@ def _collate(records):
     b = len(records)
     din = records[0].input_dim
     tmax = max(r.num_frames for r in records)
-    feats = np.zeros((b, din, tmax))
+    feats = frame_buffer(b, din, tmax, zero=True)
     mask = np.zeros((b, tmax))
     labels = np.zeros(b)
     pseudo = np.zeros((b, tmax))

@@ -14,25 +14,35 @@ Conventions (pinned by tests):
     A tie for the max goes to the first index, which takes the whole
     gradient.
 
+Layout: a [B, C, T] frame tensor is channel-major, [C, B, T] in memory, so
+its [C, B*T] matrix is its memory and the conv gemms read it as a view.
+Every frame buffer a kernel allocates itself comes from `frame_buffer`, and
+the elementwise results numpy allocates follow their operands' layout, so
+channel-major in is channel-major out. The one buffer that copies an
+operand's layout instead is batch_norm1d's squares buffer: a sum's bytes
+depend on the layout it runs over, and the variance keeps x.var's bytes.
+
 Summation order (pinned against numpy references in tests/test_kernel.py,
 byte for byte unless a bound is named):
   - conv1d is one gemm, out = W[Cout, Cin*K] @ cols[Cin*K, B*T'], where
-    cols (im2col) holds tap k of input channel c in row c*K + k. The result
-    is returned as a view: [B, Cout, T'] indexing, [Cout, B, T'] in memory.
-    The backward computes dW = cols @ g[B*T', Cout] and adds
-    W[:, :, k].T @ g[Cout, B*T'] for each tap into zeros laid out like the
-    padded input. These are the operands, shapes and layouts numpy's
-    optimized einsum hands to matmul for the window-view formulation, so
-    every result has its bytes (Cin = 1 with B = 1 or K = 1 excepted).
+    cols (im2col) holds tap k of input channel c in row c*K + k; K = 1
+    with no padding makes cols a view of a channel-major input. The result
+    is returned as a view of the gemm's output.
+  - conv1d_backward takes g[Cout, B*T'] as a view of a channel-major g.
+    dW = g @ cols.T and dx = W.T @ g are one gemm each, within
+    N*eps*sum(|terms|) of any other order of their N-term dot products.
+    For K = 1 with no padding dx is the gemm's output; otherwise its K taps
+    are added in tap order into a zeroed, padded buffer.
   - avg_pool1d and its backward sum each window as a difference of two prefix
     sums: an output is within 2*L*eps*sum(|row|)/count of exact, L being the
     padded row's length.
   - batch_norm1d's training statistics have the bytes of x.mean and x.var
     over (B, T): one sum divided by the count, the centred input computed
-    once for the variance and xhat. Its backward keeps the reference
-    operation order inv_std * ((dxhat - s1/n) - (xhat*s2)/n) and the layout
-    of dx that order gives for any layouts of x and g. Eval mode normalizes
-    with the running statistics and keeps no backward cache.
+    once for the variance and xhat. Its backward takes dgamma = sum(g*xhat)
+    and dbeta = sum(g), and from them
+    dx = (gamma*inv_std/n) * ((n*g - dbeta) - xhat*dgamma), channel-major.
+    Eval mode normalizes with the running statistics and keeps no backward
+    cache.
 """
 
 from __future__ import annotations
@@ -57,6 +67,12 @@ class GradCheckAborted(RuntimeError):
 
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def frame_buffer(B, C, T, zero=False):
+    """A [B, C, T] float64 buffer laid out channel-major ([C, B, T] in
+    memory), zero-filled when `zero` is set."""
+    return (np.zeros if zero else np.empty)((C, B, T)).transpose(1, 0, 2)
 
 
 @dataclasses.dataclass
@@ -87,12 +103,11 @@ def zero_grads(params) -> None:
 # ---------------------------------------------------------------------------
 
 def _pad_time(x, padding):
-    """`x` with `padding` zeros at both ends of the time axis, laid out as
-    np.pad lays it out (Fortran order for a Fortran-only input)."""
+    """`x` with `padding` zeros at both ends of the time axis."""
     if not padding:
         return x
     B, C, T = x.shape
-    xp = np.zeros((B, C, T + 2 * padding), order="F" if x.flags.fnc else "C")
+    xp = frame_buffer(B, C, T + 2 * padding, zero=True)
     xp[:, :, padding:padding + T] = x
     return xp
 
@@ -131,22 +146,22 @@ def conv1d(x, w, b, padding=0):
 
 def conv1d_backward(g, cache, need_dx=True):
     """(dx, dw, db) of `conv1d`; with `need_dx` false the input gradient is
-    not computed and dx is None."""
+    not computed and dx is None. dx is channel-major."""
     xp, w, padding, T = cache
     cout, cin, K = w.shape
     B, _, To = g.shape
-    dw = np.matmul(_im2col(xp, K, To), g.transpose(0, 2, 1).reshape(B * To, cout))
-    dw = dw.reshape(cin, K, cout).transpose(2, 0, 1)
+    g_cols = g.transpose(1, 0, 2).reshape(cout, B * To)  # a view if g is channel-major
+    dw = np.matmul(g_cols, _im2col(xp, K, To).T).reshape(cout, cin, K)
     db = g.sum(axis=(0, 2))
     if not need_dx:
         return None, dw, db
-    g_cols = g.transpose(1, 0, 2).reshape(cout, B * To)
-    dxp = np.zeros_like(xp)
+    dcols = np.matmul(w.reshape(cout, cin * K).T, g_cols).reshape(cin, K, B, To)
+    if K == 1 and not padding:
+        return dcols[:, 0].transpose(1, 0, 2), dw, db
+    dxp = frame_buffer(B, cin, To + K - 1, zero=True)
     for k in range(K):
-        dxk = np.matmul(w[:, :, k].T, g_cols)
-        dxp[:, :, k:k + To] += dxk.reshape(cin, B, To).transpose(1, 0, 2)
-    dx = dxp[:, :, padding:padding + T] if padding else dxp
-    return dx, dw, db
+        dxp[:, :, k:k + To] += dcols[:, k].transpose(1, 0, 2)
+    return dxp[:, :, padding:padding + T], dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +183,8 @@ def _window_sums(x, n, padding):
     zero-padded by `padding` at both ends, as S[t + n] - S[t] of the padded
     input's prefix sums S (S[0] = 0)."""
     B, C, T = x.shape
-    S = np.zeros((B, C, T + 2 * padding + 1))
+    S = frame_buffer(B, C, T + 2 * padding + 1)
+    S[:, :, :padding + 1] = 0.0
     np.cumsum(x, axis=2, out=S[:, :, padding + 1:padding + 1 + T])
     S[:, :, padding + 1 + T:] = S[:, :, padding + T, None]
     return S[:, :, n:] - S[:, :, :-n]
@@ -203,22 +219,50 @@ def mean_over(x, axis):
 
 def mean_over_backward(g, cache):
     axis, n = cache
-    return np.repeat(np.expand_dims(g / n, axis), n, axis=axis)
+    shape = list(g.shape)
+    shape.insert(axis, n)
+    dx = frame_buffer(*shape)
+    dx[...] = np.expand_dims(g / n, axis)
+    return dx
 
 
 def max_over(x, axis):
     """Max along `axis`, which the output drops; a tie goes to the first
-    index."""
-    arg = np.expand_dims(x.argmax(axis=axis), axis)
-    return np.take_along_axis(x, arg, axis=axis).squeeze(axis), (x.shape, axis, arg)
+    index. The index is found by the backward, so inference never looks
+    for it."""
+    out = x.max(axis=axis)
+    return out, (x, out, axis)
 
 
-def max_over_backward(g, cache):
-    """`g` at each max's index, zero elsewhere."""
-    shape, axis, arg = cache
-    dx = np.zeros(shape)
-    np.put_along_axis(dx, arg, np.expand_dims(g, axis), axis=axis)
-    return dx
+def _first_max_index(x, m, axis):
+    """The first index along `axis` where `x` equals its max `m`; a NaN max,
+    which nothing equals, gets some valid index.
+
+    numpy's argmax copies `x` with `axis` moved last unless that axis is
+    already innermost in memory; for another axis the indices come from the
+    positions of the hits of one comparison instead.
+    """
+    n = x.shape[axis]
+    if x.strides[axis] == min(x.strides):
+        return x.argmax(axis=axis)
+    at, pos = np.divmod(np.flatnonzero(np.moveaxis(x, axis, 0) == m), m.size)
+    arg = np.full(m.size, n - 1)
+    np.minimum.at(arg, pos, at)
+    return arg.reshape(m.shape)
+
+
+def max_over_backward(g, cache, into=None):
+    """`g` at each max's index, zero elsewhere; with `into`, `g` is added
+    into `into` at those indices instead, and `into` is returned."""
+    x, m, axis = cache
+    arg = np.expand_dims(_first_max_index(x, m, axis), axis)
+    g = np.expand_dims(g, axis)
+    if into is None:
+        into = frame_buffer(*x.shape, zero=True)
+    else:
+        g = g + np.take_along_axis(into, arg, axis=axis)
+    np.put_along_axis(into, arg, g, axis=axis)
+    return into
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +367,8 @@ def batch_norm1d(x, gamma, beta, state, train):
     mean = x.sum(axis=(0, 2), keepdims=True)
     mean /= n
     # the squares' buffer is taken before xhat, so the output later reuses
-    # its freed block; allocated after, it left the heap ~3 MB larger
+    # its freed block; allocated after, it left the heap ~3 MB larger. It is
+    # laid out like x (and xhat), so its sum has x.var's bytes.
     sq = np.empty_like(x)
     xhat = x - mean
     var = np.multiply(xhat, xhat, out=sq).sum(axis=(0, 2), keepdims=True)
@@ -341,22 +386,18 @@ def batch_norm1d(x, gamma, beta, state, train):
 
 
 def batch_norm1d_backward(g, cache):
-    """The backward of a training-mode `batch_norm1d`."""
+    """The backward of a training-mode `batch_norm1d`: the sums of
+    dxhat = gamma*g and of dxhat*xhat that the chain rule through the
+    statistics needs are gamma*dbeta and gamma*dgamma."""
     xhat, inv_std, gamma, n = cache
     buf = g * xhat
     dgamma = buf.sum(axis=(0, 2))
     dbeta = g.sum(axis=(0, 2))
-    dxhat = g * gamma[None, :, None]
-    s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-    s2 = np.multiply(dxhat, xhat, out=buf).sum(axis=(0, 2), keepdims=True)
+    dx = np.multiply(g, float(n), out=frame_buffer(*xhat.shape))
+    dx -= dbeta[None, :, None]
+    dx -= np.multiply(xhat, dgamma[None, :, None], out=buf)
     del buf
-    # inv_std * ((dxhat - s1/n) - (xhat*s2)/n). Each operand of the last
-    # subtraction is laid out as its out-of-place form, so dx is too.
-    dxhat -= s1 / n
-    buf = xhat * s2
-    buf /= n
-    dx = np.subtract(dxhat, buf, out=dxhat if dxhat.strides == buf.strides else None)
-    dx *= inv_std
+    dx *= gamma[None, :, None] * inv_std / n
     return dx, dgamma, dbeta
 
 

@@ -95,7 +95,10 @@ class Sequential(Layer):
 class Gate(Layer):
     """`x * gate(x)`. The map is broadcast over the axes where it has size 1
     or that it lacks at the end (a `[B, C]` map over `[B, C, T]`); its
-    gradient sums `g * x` over those axes."""
+    gradient sums `g * x` over those axes. The map is copied into the frame
+    tensor's memory order, so both products keep that layout (numpy lays a
+    product out C-order when a C-order `[B, C, 1]` map meets a channel-major
+    `x`, and takes longer over it)."""
 
     def __init__(self, gate):
         super().__init__()
@@ -103,7 +106,8 @@ class Gate(Layer):
 
     def forward(self, x, train=False):
         m = self.gate.forward(x, train)
-        mb = m.reshape(m.shape + (1,) * (x.ndim - m.ndim))
+        mb = np.empty_like(x, shape=m.shape + (1,) * (x.ndim - m.ndim))
+        mb[...] = m.reshape(mb.shape)
         return self._record(train, x * mb, (x, mb, m.shape))
 
     def backward(self, g):
@@ -208,7 +212,8 @@ class Mean(Layer):
 
 
 class Max(Layer):
-    """Max over `axis`, which the output drops; a tie goes to the first index."""
+    """Max over `axis`, which the output drops; a tie goes to the first index.
+    `backward(g, into)` adds the gradient into `into` at the maxima."""
 
     def __init__(self, axis):
         super().__init__()
@@ -217,8 +222,8 @@ class Max(Layer):
     def forward(self, x, train=False):
         return self._record(train, *kernel.max_over(x, self.axis))
 
-    def backward(self, g):
-        return kernel.max_over_backward(g, self._caches.pop())
+    def backward(self, g, into=None):
+        return kernel.max_over_backward(g, self._caches.pop(), into)
 
 
 class Relu(Layer):

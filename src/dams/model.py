@@ -156,7 +156,9 @@ class DamsModel(Layer):
         embeddings = h
         drop_mask = None
         if p > 0.0:
-            drop_mask = (dropout_rng.random(h.shape) >= p) / (1.0 - p)
+            # in the features' layout, so the products keep it
+            drop_mask = np.empty_like(h)
+            drop_mask[...] = (dropout_rng.random(h.shape) >= p) / (1.0 - p)
             h = h * drop_mask
         h = self._record(train, h, drop_mask)
         logits = self.head.forward(h, train)

@@ -1,6 +1,7 @@
 """Numeric kernel: worked examples, invariants, and gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,28 @@ class TestPooling:
         want = np.moveaxis(arr3([[[0, 3, 0, 0], [7, 0, 0, 0]]]), 2, axis)
         np.testing.assert_array_equal(dx, want)
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_max_first_index_channel_major(self, axis):
+        """On channel-major frames, where the channel max does not use numpy's
+        argmax, rows with ties (one all equal) match argmax's first index;
+        `into` adds the same gradient at the same places."""
+        rng = np.random.default_rng(axis)
+        x = rng.integers(0, 3, (4, 5, 6)).astype(np.float64)
+        x[1, :, 2] = x[1, 2, :] = 1.5
+        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        out, cache = kernel.max_over(x, axis)
+        np.testing.assert_array_equal(out, x.max(axis=axis))
+        g = rng.standard_normal(out.shape)
+        want = np.zeros(x.shape)
+        np.put_along_axis(want, np.expand_dims(x.argmax(axis=axis), axis),
+                          np.expand_dims(g, axis), axis=axis)
+        dx = kernel.max_over_backward(g, cache)
+        np.testing.assert_array_equal(dx, want)
+        assert_channel_major(dx)
+        base = wide_range(rng, x.shape, "cm")
+        np.testing.assert_array_equal(
+            kernel.max_over_backward(g, cache, into=base.copy()), base + want)
+
 
 def avg_pool1d_backward_scatter(g, cache):
     """Reference: scatter each window tap through a fancy index."""
@@ -186,6 +209,32 @@ class TestAvgPoolBackward:
             return (out * r).sum()
         report = grad_check(fn, [x], tolerance=1e-8)
         assert report.passed, report.max_rel_error
+
+
+def assert_channel_major(a):
+    """[C, B, T] memory order: the strides of the axes longer than 1 fall
+    from C to B to T (a slice along T, like a padded buffer's interior,
+    keeps that order)."""
+    strides = [a.strides[i] for i in (1, 0, 2) if a.shape[i] > 1]
+    assert strides == sorted(strides, reverse=True), a.strides
+
+
+def assert_within_dot_bound(got, ref, abs_ref, n):
+    """|got - ref| <= n*eps*abs_ref elementwise, where each entry is a sum of
+    at most n products a_i*b_i and `abs_ref` is the same computation on
+    |a_i| and |b_i|, i.e. sum(|a_i*b_i|).
+
+    Any order of summing n products, with or without fused multiply-adds,
+    is within gamma_n*sum(|a_i*b_i|) of the exact sum, gamma_n = n*u/(1-n*u)
+    and u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1). Two such orders differ by at most 2*gamma_n*sum|a_i*b_i|,
+    which to first order in u is n*eps*sum|a_i*b_i|; `abs_ref`, a sum of
+    nonnegative terms, is within gamma_n of sum|a_i*b_i| relatively, a
+    second-order change to the bound.
+    """
+    assert got.shape == ref.shape
+    bound = n * np.finfo(np.float64).eps * abs_ref
+    assert (np.abs(got - ref) <= bound).all(), np.max(np.abs(got - ref) - bound)
 
 
 def assert_same_array(a, b):
@@ -244,7 +293,13 @@ CONV_WIDTHS = ((16, 16), (16, 8), (8, 1), (64, 16), (64, 128), (128, 128),
 
 
 class TestConvGemmBytes:
-    """conv1d/conv1d_backward as gemms give the einsum reference's bytes."""
+    """conv1d gives the einsum reference's bytes and layout on a
+    channel-major input. A C-order input is padded into a channel-major
+    buffer, whose im2col the reference reads with other strides when T' = 1,
+    so there the output is held to the dot-product bound (Cin*K products
+    and the bias). conv1d_backward gives the reference's db bytes, and dw and dx within
+    the dot-product bound: a dw entry sums B*T' products, a dx entry at most
+    Cout*K. dx is channel-major."""
 
     @pytest.mark.parametrize("K", [1, 3, 7])
     @pytest.mark.parametrize("cin,cout", CONV_WIDTHS)
@@ -260,12 +315,24 @@ class TestConvGemmBytes:
                     continue
                 x = wide_range(rng, (B, cin, T), x_layout)
                 out, cache = kernel.conv1d(x, w, b, padding)
-                assert_same_array(out, conv1d_einsum(x, w, b, padding))
+                ref = conv1d_einsum(x, w, b, padding)
+                if x_layout == "cm":
+                    assert_same_array(out, ref)
+                else:
+                    assert_within_dot_bound(
+                        out, ref, conv1d_einsum(np.abs(x), np.abs(w), np.abs(b), padding),
+                        cin * K + 1)
+                    assert_channel_major(out)
+                abs_cache = (np.abs(cache[0]), np.abs(w), padding, T)
                 for g_layout in ("c", "cm"):
                     g = wide_range(rng, out.shape, g_layout)
-                    for got, ref in zip(kernel.conv1d_backward(g, cache),
-                                        conv1d_backward_einsum(g, cache)):
-                        assert_same_array(got, ref)
+                    dx, dw, db = kernel.conv1d_backward(g, cache)
+                    ref_dx, ref_dw, ref_db = conv1d_backward_einsum(g, cache)
+                    abs_dx, abs_dw, _ = conv1d_backward_einsum(np.abs(g), abs_cache)
+                    assert_within_dot_bound(dw, ref_dw, abs_dw, B * out.shape[2])
+                    assert_within_dot_bound(dx, ref_dx, abs_dx, cout * K)
+                    assert_channel_major(dx)
+                    assert_same_array(db, ref_db)
 
     @pytest.mark.parametrize("K,padding", [(1, 0), (3, 1), (7, 3), (3, 0)])
     @pytest.mark.parametrize("cin,cout", [(64, 16), (16, 16), (128, 128)])
@@ -362,9 +429,38 @@ def batch_norm1d_backward_reference(g, cache):
     return dx, dgamma, dbeta
 
 
+def assert_within_bn_backward_bound(got, ref, g, cache):
+    """|got - ref| <= (n + 7)*eps*|gamma|*inv_std*A elementwise, with
+    A = |g| + (sum|g| + |xhat|*sum|g*xhat|)/n, the sums over (B, T).
+
+    Exactly, dx = gamma*inv_std*(g - sum(g)/n - xhat*sum(g*xhat)/n), and
+    |dx| <= |gamma|*inv_std*A. The kernel forms
+    (gamma*inv_std/n)*((n*g - dbeta) - xhat*dgamma), whose bracket is at
+    most n*A in size: dbeta and dgamma are within (n-1)u*sum|g| and
+    n*u*sum|g*xhat| of their exact values (u = eps/2), together at most
+    n*u*n*A in the bracket; the roundings of n*g, of xhat*dgamma and of the
+    two subtractions add u*n*A each; the scale's two roundings and the last
+    product add three u relative to dx. That is (n + 7)*u*|gamma|*inv_std*A
+    to first order. The reference's inv_std*((dxhat - s1/n) - xhat*s2/n) with
+    dxhat = gamma*g sums one more rounding into s2 and counts (n + 6)*u the
+    same way. The two differ by at most (2n + 13)*u <= (n + 7)*eps times
+    gamma*inv_std*A.
+    """
+    xhat, inv_std, gamma, n = cache
+    a = (np.abs(g) + (np.abs(g).sum(axis=(0, 2), keepdims=True)
+                      + np.abs(xhat) * np.abs(g * xhat).sum(axis=(0, 2), keepdims=True))
+         / n)
+    scale = np.abs(gamma)[None, :, None] * inv_std.reshape(1, -1, 1)
+    bound = (n + 7) * np.finfo(np.float64).eps * scale * a
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= bound).all(), np.max(np.abs(got - ref) - bound)
+
+
 class TestBatchNormBytes:
-    """batch_norm1d and its backward give the reference's bytes and layouts;
-    eval mode keeps no backward cache."""
+    """batch_norm1d, its running statistics and the backward's dgamma and
+    dbeta give the reference's bytes and layouts; the backward's dx is
+    channel-major and within `assert_within_bn_backward_bound` of the
+    reference. Eval mode keeps no backward cache."""
 
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("x_layout", ["c", "cm"])
@@ -389,9 +485,86 @@ class TestBatchNormBytes:
             assert cache is None
             return
         g = wide_range(rng, shape, g_layout)
-        for got, want in zip(kernel.batch_norm1d_backward(g, cache),
-                             batch_norm1d_backward_reference(g, ref_cache)):
-            assert_same_array(got, want)
+        check_batch_norm_backward(g, cache, ref_cache)
+
+    @pytest.mark.parametrize("layout", ["c", "cm"])
+    @pytest.mark.parametrize("shape", [(30, 16, 120), (2, 128, 3), (5, 3, 40)])
+    def test_backward_wide_range(self, layout, shape):
+        """gamma, x and g all spread over ~30 binades, at batch sizes up to
+        the model's (n = B*T = 3600)."""
+        rng = np.random.default_rng([7, *shape])
+        C = shape[1]
+        x = wide_range(rng, shape, layout)
+        gamma = wide_range(rng, (1, C, 1), "c").reshape(C)
+        beta = rng.standard_normal(C)
+        state = kernel.BatchNormState.create(C)
+        _, cache = kernel.batch_norm1d(x, gamma, beta, state, True)
+        _, ref_cache = batch_norm1d_reference(x, gamma, beta,
+                                              kernel.BatchNormState.create(C), True)
+        check_batch_norm_backward(wide_range(rng, shape, layout), cache, ref_cache)
+
+
+def check_batch_norm_backward(g, cache, ref_cache):
+    dx, dgamma, dbeta = kernel.batch_norm1d_backward(g, cache)
+    ref_dx, ref_dgamma, ref_dbeta = batch_norm1d_backward_reference(g, ref_cache)
+    assert_same_array(dgamma, ref_dgamma)
+    assert_same_array(dbeta, ref_dbeta)
+    assert_channel_major(dx)
+    assert_within_bn_backward_bound(dx, ref_dx, g, cache)
+
+
+class TestFrameLayout:
+    """One C=16 training step: every [B, C, T] operand and result of the
+    conv, pool and batch-norm kernels is channel-major, and a 1-tap
+    conv1d_backward reads its channel-major g without copying it."""
+
+    SPIED = ("conv1d", "conv1d_backward", "avg_pool1d", "batch_norm1d",
+             "batch_norm1d_backward")
+
+    def test_train_step(self, monkeypatch):
+        from dams.amtpn import PyramidConfig
+        from dams.data import SyntheticSpec, batch_iter, synthesize_dataset
+        from dams.model import ModelConfig
+        from dams.trainer import TrainConfig, build_model, train_step
+
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kw):
+                tracemalloc.start()
+                try:
+                    result = fn(*args, **kw)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                kept = sum(r.nbytes for r in result if isinstance(r, np.ndarray))
+                calls.append((name, args, result, peak - kept))
+                return result
+            return wrapped
+
+        for name in self.SPIED:
+            monkeypatch.setattr(kernel, name, spy(name, getattr(kernel, name)))
+        model = ModelConfig(input_dim=16, channels=16, depth=1,
+                            pyramid=PyramidConfig(scales=(1, 3, 9, 27), channels=16))
+        cfg = TrainConfig(model=model, seed=0, batch_size=8)
+        records = synthesize_dataset(SyntheticSpec(num_videos=8, t_min=20, t_max=40,
+                                                   input_dim=16, seed=0))
+        net, weights = build_model(cfg)
+        train_step(net, weights, next(batch_iter(records, 8, 0, "train")), cfg, 0)
+
+        assert {name for name, *_ in calls} == set(self.SPIED)
+        copy_checked = 0
+        for name, args, result, transient in calls:
+            for a in (args[0], result[0]):
+                if isinstance(a, np.ndarray):
+                    assert a.ndim == 3
+                    assert_channel_major(a)
+            if name == "conv1d_backward":
+                g, (_, w, padding, _) = args[0], args[1]
+                if w.shape[0] > 1 and w.shape[2] == 1 and not padding:
+                    assert transient < g.nbytes // 2, (w.shape, transient, g.nbytes)
+                    copy_checked += 1
+        assert copy_checked >= 6  # the projection, four TPP convs, AFF's refine, head.conv1
 
 
 class TestGlobalAvgPool:
