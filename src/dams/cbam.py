@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 
+from . import kernel
 from .amtpn import ConfigError
 from .layers import Conv1d, Gate, Layer, Linear, Max, Mean, Relu, Sequential, Sigmoid
 
@@ -71,10 +72,11 @@ class TemporalAttention(Layer):
         self.avg_pool, self.max_pool = Mean(1), Max(1)
 
     def forward(self, f, train=False):
-        pooled = np.stack([self.avg_pool.forward(f, train),
-                           self.max_pool.forward(f, train)])  # [2, B, T]
-        return self.gate.forward(self.conv.forward(pooled.transpose(1, 0, 2), train),
-                                 train)
+        B, _, T = f.shape
+        pooled = kernel.frame_buffer(B, 2, T)
+        pooled[:, 0] = self.avg_pool.forward(f, train)
+        pooled[:, 1] = self.max_pool.forward(f, train)
+        return self.gate.forward(self.conv.forward(pooled, train), train)
 
     def backward(self, g_m):
         g_pooled = self.conv.backward(self.gate.backward(g_m))

@@ -12,7 +12,7 @@ Conventions (pinned by tests):
     (count-exclude-pad).
   - mean_over and max_over reduce one whole axis, which the output drops.
     A tie for the max goes to the first index, which takes the whole
-    gradient.
+    gradient; a NaN max sends it to the first NaN.
 
 Layout: a [B, C, T] frame tensor is channel-major, [C, B, T] in memory, so
 its [C, B*T] matrix is its memory and the conv gemms read it as a view.
@@ -235,20 +235,14 @@ def max_over(x, axis):
 
 
 def _first_max_index(x, m, axis):
-    """The first index along `axis` where `x` equals its max `m`; a NaN max,
-    which nothing equals, gets some valid index.
-
-    numpy's argmax copies `x` with `axis` moved last unless that axis is
-    already innermost in memory; for another axis the indices come from the
-    positions of the hits of one comparison instead.
-    """
-    n = x.shape[axis]
-    if x.strides[axis] == min(x.strides):
-        return x.argmax(axis=axis)
-    at, pos = np.divmod(np.flatnonzero(np.moveaxis(x, axis, 0) == m), m.size)
-    arg = np.full(m.size, n - 1)
-    np.minimum.at(arg, pos, at)
-    return arg.reshape(m.shape)
+    """The first index along `axis` where `x` equals its max `m`, or, where
+    the max is NaN, the first NaN (as numpy's argmax), in any layout of `x`.
+    argmax runs on the comparison, so moving a non-innermost axis last
+    copies one byte an entry, not eight."""
+    hit = x == np.expand_dims(m, axis)
+    if np.isnan(m).any():
+        hit |= np.isnan(x)
+    return hit.argmax(axis=axis)
 
 
 def max_over_backward(g, cache, into=None):

@@ -134,8 +134,8 @@ class TestPooling:
 
     @pytest.mark.parametrize("axis", [1, 2])
     def test_max_first_index_channel_major(self, axis):
-        """On channel-major frames, where the channel max does not use numpy's
-        argmax, rows with ties (one all equal) match argmax's first index;
+        """On channel-major frames, where the channel axis is outermost in
+        memory, rows with ties (one all equal) match argmax's first index;
         `into` adds the same gradient at the same places."""
         rng = np.random.default_rng(axis)
         x = rng.integers(0, 3, (4, 5, 6)).astype(np.float64)
@@ -153,6 +153,20 @@ class TestPooling:
         base = wide_range(rng, x.shape, "cm")
         np.testing.assert_array_equal(
             kernel.max_over_backward(g, cache, into=base.copy()), base + want)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_max_nan_gradient_goes_to_first_nan(self, axis):
+        """A row whose max is NaN sends its gradient to its first NaN, as
+        numpy's argmax does, in either memory layout; other rows keep the
+        first index of their max."""
+        x = np.moveaxis(arr3([[[1, 5, np.nan, np.nan], [0, 3, 1, 3]]]), 2, axis)
+        want = np.moveaxis(arr3([[[0, 0, 3, 0], [0, 7, 0, 0]]]), 2, axis)
+        for layout in (np.ascontiguousarray(x),
+                       np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)):
+            out, cache = kernel.max_over(layout, axis)
+            assert np.isnan(out[0, 0]) and out[0, 1] == 3
+            np.testing.assert_array_equal(
+                kernel.max_over_backward(arr3([[3, 7]]), cache), want)
 
 
 def avg_pool1d_backward_scatter(g, cache):
