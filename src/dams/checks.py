@@ -53,13 +53,12 @@ SMALL_MODEL = ModelConfig(input_dim=16, channels=8, depth=1, head_hidden=4,
 
 def check_conv1d(seed, **kw):
     return _op_check(seed, [((2, 3, 8), "x"), ((4, 3, 3), "w"), ((4,), "b")],
-                     (2, 4, 8), lambda x, w, b: kernel.conv1d(x, w, b, padding=1),
-                     kernel.conv1d_backward, **kw)
+                     (2, 4, 8), kernel.conv1d, kernel.conv1d_backward, **kw)
 
 
 def check_avg_pool1d(seed, **kw):
     return _op_check(seed, [((2, 3, 9), "x")], (2, 3, 9),
-                     lambda x: kernel.avg_pool1d(x, 3, padding=1),
+                     lambda x: kernel.avg_pool1d(x, 3),
                      kernel.avg_pool1d_backward, **kw)
 
 

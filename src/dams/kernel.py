@@ -6,10 +6,13 @@ gradient checker. There is no tape: every composite module calls the
 `*_backward` functions in reverse order of its forward calls.
 
 Conventions (pinned by tests):
-  - conv1d is cross-correlation (no kernel flip), stride 1, zero padding.
-  - avg_pool1d runs at stride 1: output t is the window at padded positions
-    t .. t + kernel - 1. It divides by the number of in-bounds elements only
-    (count-exclude-pad).
+  - conv1d and avg_pool1d run at stride 1 over same-length centred windows:
+    an odd kernel n is zero-padded by n // 2 at both ends, so output frame
+    t is the window centred on input frame t; other kernels raise
+    `DimensionError`. conv1d is cross-correlation (no kernel flip).
+  - avg_pool1d divides by the number of in-bounds frames only
+    (count-exclude-pad). A centred window sum is its own adjoint, so the
+    backward is the same window sum over g / counts.
   - mean_over and max_over reduce one whole axis, which the output drops.
     A tie for the max goes to the first index, which takes the whole
     gradient; a NaN max sends it to the first NaN.
@@ -24,15 +27,15 @@ depend on the layout it runs over, and the variance keeps x.var's bytes.
 
 Summation order (pinned against numpy references in tests/test_kernel.py,
 byte for byte unless a bound is named):
-  - conv1d is one gemm, out = W[Cout, Cin*K] @ cols[Cin*K, B*T'], where
-    cols (im2col) holds tap k of input channel c in row c*K + k; K = 1
-    with no padding makes cols a view of a channel-major input. The result
-    is returned as a view of the gemm's output.
-  - conv1d_backward takes g[Cout, B*T'] as a view of a channel-major g.
+  - conv1d is one gemm, out = W[Cout, Cin*K] @ cols[Cin*K, B*T], where
+    cols (im2col) holds tap k of input channel c in row c*K + k; K = 1,
+    which pads nothing, makes cols a view of a channel-major input. The
+    result is returned as a view of the gemm's output.
+  - conv1d_backward takes g[Cout, B*T] as a view of a channel-major g.
     dW = g @ cols.T and dx = W.T @ g are one gemm each, within
     N*eps*sum(|terms|) of any other order of their N-term dot products.
-    For K = 1 with no padding dx is the gemm's output; otherwise its K taps
-    are added in tap order into a zeroed, padded buffer.
+    For K = 1 dx is the gemm's output; otherwise its K taps are added in
+    tap order into a zeroed, padded buffer.
   - avg_pool1d and its backward sum each window as a difference of two prefix
     sums: an output is within 2*L*eps*sum(|row|)/count of exact, L being the
     padded row's length.
@@ -124,92 +127,82 @@ def _im2col(xp, K, To):
     return taps.reshape(C * K, B * To)
 
 
-def conv1d(x, w, b, padding=0):
-    """1D cross-correlation, stride 1.
+def conv1d(x, w, b):
+    """1D cross-correlation, stride 1, zero-padded by K // 2 at both ends, so
+    output frame t is centred on input frame t (K odd).
 
-    x: [B, Cin, T], w: [Cout, Cin, K], b: [Cout] -> out [B, Cout, T']
-    with T' = T + 2*padding - K + 1. The output is a channel-major view
-    ([Cout, B, T'] in memory) of one [Cout, Cin*K] x [Cin*K, B*T'] gemm.
+    x: [B, Cin, T], w: [Cout, Cin, K], b: [Cout] -> out [B, Cout, T], a
+    channel-major view ([Cout, B, T] in memory) of one [Cout, Cin*K] x
+    [Cin*K, B*T] gemm.
     """
     B, cin, T = x.shape
     cout, cin_w, K = w.shape
     if cin != cin_w:
         raise DimensionError(f"conv1d: input channels {cin} != kernel channels {cin_w}")
-    if K < 1 or padding < 0 or T + 2 * padding < K:
-        raise DimensionError(f"conv1d: kernel {K} does not fit T={T}, padding={padding}")
-    xp = _pad_time(x, padding)
-    To = T + 2 * padding - K + 1
-    out = np.matmul(w.reshape(cout, cin * K), _im2col(xp, K, To))
+    if K % 2 == 0:
+        raise DimensionError(f"conv1d: kernel {K} is not odd")
+    xp = _pad_time(x, K // 2)
+    out = np.matmul(w.reshape(cout, cin * K), _im2col(xp, K, T))
     out += b[:, None]
-    return out.reshape(cout, B, To).transpose(1, 0, 2), (xp, w, padding, T)
+    return out.reshape(cout, B, T).transpose(1, 0, 2), (xp, w)
 
 
 def conv1d_backward(g, cache, need_dx=True):
     """(dx, dw, db) of `conv1d`; with `need_dx` false the input gradient is
     not computed and dx is None. dx is channel-major."""
-    xp, w, padding, T = cache
+    xp, w = cache
     cout, cin, K = w.shape
-    B, _, To = g.shape
-    g_cols = g.transpose(1, 0, 2).reshape(cout, B * To)  # a view if g is channel-major
-    dw = np.matmul(g_cols, _im2col(xp, K, To).T).reshape(cout, cin, K)
+    B, _, T = g.shape
+    g_cols = g.transpose(1, 0, 2).reshape(cout, B * T)  # a view if g is channel-major
+    dw = np.matmul(g_cols, _im2col(xp, K, T).T).reshape(cout, cin, K)
     db = g.sum(axis=(0, 2))
     if not need_dx:
         return None, dw, db
-    dcols = np.matmul(w.reshape(cout, cin * K).T, g_cols).reshape(cin, K, B, To)
-    if K == 1 and not padding:
+    dcols = np.matmul(w.reshape(cout, cin * K).T, g_cols).reshape(cin, K, B, T)
+    if K == 1:
         return dcols[:, 0].transpose(1, 0, 2), dw, db
-    dxp = frame_buffer(B, cin, To + K - 1, zero=True)
+    dxp = frame_buffer(B, cin, T + K - 1, zero=True)
     for k in range(K):
-        dxp[:, :, k:k + To] += dcols[:, k].transpose(1, 0, 2)
-    return dxp[:, :, padding:padding + T], dw, db
+        dxp[:, :, k:k + T] += dcols[:, k].transpose(1, 0, 2)
+    h = K // 2
+    return dxp[:, :, h:h + T], dw, db
 
 
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
 
-def _pool_length(T, kernel, padding):
-    """The output length of a stride-1 pool."""
-    if kernel < 1 or padding < 0:
-        raise DimensionError(f"pool: bad kernel/padding {kernel}/{padding}")
-    Tp = T + 2 * padding
-    if kernel > Tp:
-        raise DimensionError(f"pool: kernel {kernel} > padded length {Tp}")
-    return Tp - kernel + 1
-
-
-def _window_sums(x, n, padding):
-    """[B, C, T + 2*padding - n + 1]: the sum of each n-wide window of `x`
-    zero-padded by `padding` at both ends, as S[t + n] - S[t] of the padded
-    input's prefix sums S (S[0] = 0)."""
+def _window_sums(x, n):
+    """[B, C, T]: the sum of the n-wide window (n odd) centred on each frame
+    of `x`, zero-padded by n // 2 at both ends, as S[t + n] - S[t] of the
+    padded input's prefix sums S (S[0] = 0)."""
     B, C, T = x.shape
-    S = frame_buffer(B, C, T + 2 * padding + 1)
-    S[:, :, :padding + 1] = 0.0
-    np.cumsum(x, axis=2, out=S[:, :, padding + 1:padding + 1 + T])
-    S[:, :, padding + 1 + T:] = S[:, :, padding + T, None]
+    h = n // 2
+    S = frame_buffer(B, C, T + 2 * h + 1)
+    S[:, :, :h + 1] = 0.0
+    np.cumsum(x, axis=2, out=S[:, :, h + 1:h + 1 + T])
+    S[:, :, h + 1 + T:] = S[:, :, h + T, None]
     return S[:, :, n:] - S[:, :, :-n]
 
 
-def avg_pool1d(x, kernel, padding=0):
-    """Average pooling; the divisor counts only in-bounds elements."""
-    B, C, T = x.shape
-    To = _pool_length(T, kernel, padding)
-    starts = np.arange(To)
-    counts = (np.minimum(starts + kernel, padding + T)
-              - np.maximum(starts, padding)).astype(np.float64)
-    if np.any(counts < 1):
-        raise DimensionError("avg_pool1d: window contains no in-bounds elements")
-    out = _window_sums(x, kernel, padding)
+def avg_pool1d(x, kernel):
+    """The mean of the `kernel`-wide window centred on each frame; the
+    divisor counts only in-bounds frames."""
+    if kernel < 1 or kernel % 2 == 0:
+        raise DimensionError(f"avg_pool1d: kernel {kernel} is not odd and positive")
+    h, T = kernel // 2, x.shape[2]
+    t = np.arange(T)
+    counts = (np.minimum(t + h + 1, T) - np.maximum(t - h, 0)).astype(np.float64)
+    out = _window_sums(x, kernel)
     out /= counts
-    return out, (kernel, padding, counts)
+    return out, (kernel, counts)
 
 
 def avg_pool1d_backward(g, cache):
-    """The adjoint of a stride-1 window sum is the same sum over the output
-    gradient padded by kernel - 1 - padding (>= 0 when every window holds an
-    in-bounds element); its length is the input's."""
-    kernel, padding, counts = cache
-    return _window_sums(g / counts, kernel, kernel - 1 - padding)
+    """A centred window sum is its own adjoint: the input gradient is the
+    same window sum over g / counts."""
+    kernel, counts = cache
+    return _window_sums(g / counts, kernel)
 
 
 def mean_over(x, axis):

@@ -133,18 +133,15 @@ class _Affine(Layer):
 
 
 class Conv1d(_Affine):
-    """Stride-1 conv padded by `kernel_size // 2` (odd `kernel_size` keeps
-    the length)."""
+    """Stride-1 conv centred on each frame (odd `kernel_size`)."""
 
     def __init__(self, cin, cout, kernel_size, rng, name,
                  bias_init=None, weight_scale=1.0):
         super().__init__((cout, cin, kernel_size), rng, name, bias_init,
                          weight_scale)
-        self.padding = kernel_size // 2
 
     def forward(self, x, train=False):
-        return self._record(train, *kernel.conv1d(x, self.w.value, self.b.value,
-                                                  self.padding))
+        return self._record(train, *kernel.conv1d(x, self.w.value, self.b.value))
 
     def backward(self, g, need_dx=True):
         return self._accumulate(*kernel.conv1d_backward(g, self._caches.pop(), need_dx))
@@ -182,16 +179,15 @@ class BatchNorm1d(Layer):
 
 
 class AvgPool1d(Layer):
-    """Stride-1 average pool over time, padded by `size // 2` (odd `size`
-    keeps the length)."""
+    """Stride-1 average pool over the `size`-wide window (odd `size`)
+    centred on each frame."""
 
     def __init__(self, size):
         super().__init__()
         self.size = size
 
     def forward(self, x, train=False):
-        return self._record(train, *kernel.avg_pool1d(
-            x, self.size, padding=self.size // 2))
+        return self._record(train, *kernel.avg_pool1d(x, self.size))
 
     def backward(self, g):
         return kernel.avg_pool1d_backward(g, self._caches.pop())

@@ -72,14 +72,11 @@ class ModelConfig:
 class ClipPathConfig:
     temperature: float = 0.07
     scaling: float = 100.0
-    threshold: float = 0.5
 
     def __post_init__(self):
         # chained bounds, so NaN fails them too
         if not (0 < self.temperature < math.inf and 0 < self.scaling < math.inf):
             raise ConfigError("temperature and scaling must be positive and finite")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
 
 
 @dataclasses.dataclass

@@ -27,9 +27,10 @@ from . import losses as L
 from .amtpn import ConfigError
 from .data import (Batch, FeatureFileError, batch_iter, read_container,
                    write_container)
+from .layers import BatchNorm1d
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
 from .metrics import UndefinedMetricError, average_precision, roc_auc
-from .model import DamsModel, ModelConfig
+from .model import DamsModel, ModelConfig, pseudo_labels
 
 log = logging.getLogger("dams")
 
@@ -239,7 +240,7 @@ def train_step(model: DamsModel, weights: UncertaintyWeights, batch: Batch,
                 if cfg.model.dropout > 0 else None)
     out = model.forward(batch.features, train=True, dropout_rng=drop_rng)
     mask = batch.mask
-    pseudo = (batch.pseudo_probs > cfg.pseudo_threshold).astype(np.float64)
+    pseudo = pseudo_labels(batch.pseudo_probs, cfg.pseudo_threshold)
 
     # frame-level pseudo supervision
     l_pse = 0.0
@@ -300,7 +301,8 @@ class EvalReport:
 
 def score_video(model: DamsModel, record):
     """Per-frame anomaly scores for one video, averaged over crops."""
-    feats = np.stack(record.crops)  # [ncrops, Din, T]
+    feats = kernel.frame_buffer(len(record.crops), *record.crops[0].shape)
+    np.stack(record.crops, out=feats)  # [ncrops, Din, T], channel-major
     return model.forward(feats, train=False).frame_scores.mean(axis=0)
 
 
@@ -374,6 +376,11 @@ class TrainResult:
     best_iteration: int
 
 
+def _has_batch_norm(layer):
+    """Whether `layer` or a layer below it is a batch norm."""
+    return isinstance(layer, BatchNorm1d) or any(map(_has_batch_norm, layer.children()))
+
+
 def _log_line(entry):
     return json.dumps(entry, sort_keys=True)
 
@@ -431,12 +438,14 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     history = []
     # the range comes first, so zip collates no batch past the budget
     for it, batch in zip(range(start_iter, cfg.max_iterations), batches):
+        B, _, T = batch.features.shape
+        if B * T < 2 and _has_batch_norm(model):
+            log.warning("iteration %d: degenerate batch skipped (batch norm over "
+                        "B*T = %d < 2 frames)", it + 1, B * T)
+            continue
         kernel.zero_grads(params)
         try:
             breakdown = train_step(model, weights, batch, cfg, it)
-        except L.EmptyLossError as exc:
-            log.warning("iteration %d: degenerate batch skipped (%s)", it + 1, exc)
-            continue
         except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"iteration {it + 1}: {exc}") from exc
         bad = next((p for p in params if not np.isfinite(p.grad).all()), None)

@@ -52,7 +52,7 @@ class TestTpp:
         assert [type(layer).__name__ for layer in layers] == [
             "Conv1d", "BatchNorm1d", "Relu"]
         conv, bn, _ = layers
-        conv_out, _ = kernel.conv1d(x, conv.w.value, conv.b.value, 0)
+        conv_out, _ = kernel.conv1d(x, conv.w.value, conv.b.value)
         state = kernel.BatchNormState.create(4)
         bn_out, _ = kernel.batch_norm1d(x=conv_out, gamma=bn.gamma.value,
                                         beta=bn.beta.value, state=state,
@@ -69,7 +69,7 @@ class TestTpp:
             assert np.allclose(b, b[:, :, :1], atol=1e-12)
 
     def test_scale3_pools_before_conv(self):
-        pooled, _ = kernel.avg_pool1d(np.asarray([[[2.0, 4.0, 6.0]]]), 3, padding=1)
+        pooled, _ = kernel.avg_pool1d(np.asarray([[[2.0, 4.0, 6.0]]]), 3)
         np.testing.assert_allclose(pooled, [[[3.0, 4.0, 5.0]]])
 
     @pytest.mark.parametrize("t", [1, 2, 7, 27, 64])

@@ -96,7 +96,7 @@ class TestTemporalAttention:
         f = rng(7).standard_normal((2, 1, 9))
         m = ta.forward(f)
         doubled = np.concatenate([f, f], axis=1)
-        logits, _ = kernel.conv1d(doubled, ta.conv.w.value, ta.conv.b.value, 1)
+        logits, _ = kernel.conv1d(doubled, ta.conv.w.value, ta.conv.b.value)
         expected, _ = kernel.sigmoid(logits)
         np.testing.assert_allclose(m, expected, atol=1e-12)
 

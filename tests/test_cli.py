@@ -91,6 +91,27 @@ class TestTrain:
         lines = (trained / "log.jsonl").read_text().splitlines()
         assert len(lines) == SMALL_MODEL_JSON["max_iterations"]
 
+    def test_degenerate_batch_skipped(self, tmp_path, monkeypatch, caplog):
+        """A batch of one one-frame video has no batch-norm statistics: each
+        is skipped with a warning before any layer records a cache, writes
+        no log line, and the run exits 0."""
+        from test_trainer import MODULE_CLASSES, _cache_entries
+
+        from dams import trainer
+        built = []
+        build_model = trainer.build_model
+        monkeypatch.setattr(trainer, "build_model",
+                            lambda cfg: built.append(build_model(cfg)) or built[-1])
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        assert main(["synth", "--out", str(ds), "--videos", "6", "--dim", "4",
+                     "--t-min", "1", "--t-max", "1"]) == EXIT_OK
+        assert main(["train", "--dataset", str(ds), "--out", str(run),
+                     "--iters", "2", "--batch-size", "1"]) == EXIT_OK
+        assert (run / "log.jsonl").read_text() == ""
+        assert caplog.text.count("degenerate batch skipped") == 2
+        model, _ = built[0]
+        assert _cache_entries(model) == dict.fromkeys(MODULE_CLASSES, 0)
+
     def test_bad_config_exit_code(self, tmp_path, dataset):
         cfg = write_config(tmp_path, bogus_key=1)
         code = main(["train", "--dataset", str(dataset),

@@ -20,48 +20,50 @@ class TestConv1d:
     def test_identity_kernel(self):
         x = arr3([[[1, 2, 3]]])
         w = arr3([[[1.0]]])
-        out, _ = kernel.conv1d(x, w, np.zeros(1), padding=0)
+        out, _ = kernel.conv1d(x, w, np.zeros(1))
         np.testing.assert_array_equal(out, x)
 
     def test_hand_summation(self):
         x = arr3([[[1, 2, 3, 4]]])
-        w = arr3([[[1.0, 1.0]]])
-        out, _ = kernel.conv1d(x, w, np.zeros(1), padding=0)
-        np.testing.assert_array_equal(out, arr3([[[3, 5, 7]]]))
+        w = arr3([[[1.0, 1.0, 1.0]]])
+        out, _ = kernel.conv1d(x, w, np.zeros(1))
+        np.testing.assert_array_equal(out, arr3([[[3, 6, 9, 7]]]))
 
     def test_odd_kernel_same_padding_preserves_length(self):
         x = np.random.default_rng(0).standard_normal((2, 3, 16))
         w = np.random.default_rng(1).standard_normal((4, 3, 3))
-        out, _ = kernel.conv1d(x, w, np.zeros(4), padding=1)
+        out, _ = kernel.conv1d(x, w, np.zeros(4))
         assert out.shape == (2, 4, 16)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_same_padding_any_odd_kernel(self, k):
         x = np.random.default_rng(2).standard_normal((1, 2, 11))
         w = np.random.default_rng(3).standard_normal((2, 2, k))
-        out, _ = kernel.conv1d(x, w, np.zeros(2), padding=k // 2)
+        out, _ = kernel.conv1d(x, w, np.zeros(2))
         assert out.shape[2] == 11
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(DimensionError):
             kernel.conv1d(np.zeros((1, 2, 4)), np.zeros((1, 3, 1)), np.zeros(1))
 
-    def test_kernel_too_long_raises(self):
-        with pytest.raises(DimensionError):
-            kernel.conv1d(np.zeros((1, 1, 2)), np.zeros((1, 1, 5)), np.zeros(1))
+    def test_even_kernel_raises(self):
+        """An even kernel has no centre frame."""
+        for k in (0, 2, 4):
+            with pytest.raises(DimensionError, match="not odd"):
+                kernel.conv1d(np.zeros((1, 1, 5)), np.zeros((1, 1, k)), np.zeros(1))
 
     def test_cross_correlation_convention(self):
         # an asymmetric kernel distinguishes correlation from convolution
         x = arr3([[[1, 0, 0]]])
         w = arr3([[[1.0, 2.0, 3.0]]])
-        out, _ = kernel.conv1d(x, w, np.zeros(1), padding=1)
+        out, _ = kernel.conv1d(x, w, np.zeros(1))
         # window at t=0 is [pad, 1, 0] -> w[1]*1 = 2; t=1 sees [1,0,0] -> w[0]*1
         np.testing.assert_array_equal(out, arr3([[[2, 1, 0]]]))
 
 
 def assert_within_prefix_sum_bound(got, ref, x, padding, counts=1.0):
     """|got - ref| <= 2*L*eps*sum(|row of x|)/count elementwise, with L =
-    T + 2*padding the padded row's length.
+    T + 2*padding the length of the padded row the prefix sums run over.
 
     `got` takes each window sum of the padded row as S[t + n] - S[t] of its
     prefix sums S. A prefix sum of j terms is off by at most (j-1)*u*sum|x|
@@ -84,17 +86,19 @@ class TestPooling:
         assert_within_prefix_sum_bound(out, x, x, 0)
 
     def test_avg_edge_divisor_excludes_padding(self):
-        out, _ = kernel.avg_pool1d(arr3([[[2, 4, 6]]]), 3, padding=1)
+        out, _ = kernel.avg_pool1d(arr3([[[2, 4, 6]]]), 3)
         np.testing.assert_allclose(out, arr3([[[3, 4, 5]]]))
 
     def test_avg_length_preserved_t27(self):
         x = np.random.default_rng(1).standard_normal((1, 2, 27))
-        out, _ = kernel.avg_pool1d(x, 3, padding=1)
+        out, _ = kernel.avg_pool1d(x, 3)
         assert out.shape == (1, 2, 27)
 
-    def test_avg_kernel_too_long_raises(self):
-        with pytest.raises(DimensionError):
-            kernel.avg_pool1d(np.zeros((1, 1, 3)), kernel=6, padding=1)
+    def test_avg_even_kernel_raises(self):
+        """A kernel that is even or not positive has no centre frame."""
+        for k in (-1, 0, 2, 6):
+            with pytest.raises(DimensionError, match="not odd"):
+                kernel.avg_pool1d(np.zeros((1, 1, 3)), k)
 
     def test_max_unit_kernel_identity(self):
         """A max over an axis of length 1 is the input without that axis."""
@@ -169,23 +173,42 @@ class TestPooling:
                 kernel.max_over_backward(arr3([[3, 7]]), cache), want)
 
 
-def avg_pool1d_backward_scatter(g, cache):
-    """Reference: scatter each window tap through a fancy index."""
-    kernel_size, padding, counts = cache
+def avg_pool1d_backward_scatter(g, kernel_size, padding, T, counts):
+    """Reference: the backward of a pool padded by `padding`, which scatters
+    each window tap through a fancy index."""
     B, C, To = g.shape
-    T = To + kernel_size - 1 - 2 * padding
     gd = g / counts
     dxp = np.zeros((B, C, T + 2 * padding))
-    starts = np.arange(g.shape[2])
+    starts = np.arange(To)
     for k in range(kernel_size):
         dxp[:, :, starts + k] += gd
-    return dxp[:, :, padding:padding + T] if padding else dxp
+    return dxp[:, :, padding:padding + T]
+
+
+def refused(kernel_size):
+    """For an even kernel, which has no centre frame, check that avg_pool1d
+    refuses it and return True; return False for an odd kernel."""
+    if kernel_size % 2:
+        return False
+    with pytest.raises(DimensionError, match="not odd"):
+        kernel.avg_pool1d(np.zeros((2, 3, 5)), kernel_size)
+    return True
+
+
+def centre_crop(kernel_size, padding, T):
+    """The frames of a same-length pool or conv that the one padded by
+    `padding` <= kernel_size // 2 computes: its output t is the window
+    centred on frame t + d, d = kernel_size // 2 - padding."""
+    d = kernel_size // 2 - padding
+    return slice(d, T - d)
 
 
 # (kernel, batch, padding, T): the pyramid scales s with padding s//2 on one
 # and on two videos (one video's "cm" layout is the "c" one), then batches of
-# 1 to 5 videos with even kernels, other paddings and inputs exactly as long
-# as kernel - 2*padding.
+# 1 to 5 videos with odd kernels at padding kernel // 2, the even kernels the
+# pools refuse, and odd kernels padded by less than kernel // 2, which are a
+# `centre_crop` of the same-length pool, on inputs exactly as long as
+# kernel - 2*padding.
 POOL_GEOMETRIES = (
     [(s, b, s // 2, T) for s in (1, 3, 9, 27) for b in (1, 2)
      for T in (1, 2, 9, 40)]
@@ -197,28 +220,38 @@ POOL_GEOMETRIES = (
 class TestAvgPoolBackward:
     @pytest.mark.parametrize("kernel_size,batch,padding,T", POOL_GEOMETRIES)
     def test_bit_identical_to_scatter(self, kernel_size, batch, padding, T):
-        """The backward is the window sum of g / counts padded by
-        kernel - 1 - padding; it is within that sum's prefix-sum bound of
-        the scatter reference (the name keeps the test ids)."""
+        """The backward is the centred window sum of g / counts; it is within
+        that sum's prefix-sum bound of the scatter reference. Padded by less
+        than kernel // 2, the pool's backward is the same-length backward of
+        a g that is zero outside the crop (the name keeps the test ids)."""
+        if refused(kernel_size):
+            return
         rng = np.random.default_rng([kernel_size, batch, padding, T])
         x = rng.standard_normal((batch, 3, T))
-        out, cache = kernel.avg_pool1d(x, kernel_size, padding)
-        g = rng.standard_normal(out.shape)
-        assert_within_prefix_sum_bound(kernel.avg_pool1d_backward(g, cache),
-                                       avg_pool1d_backward_scatter(g, cache),
-                                       g / cache[2], kernel_size - 1 - padding)
+        out, cache = kernel.avg_pool1d(x, kernel_size)
+        counts = cache[1]
+        crop = centre_crop(kernel_size, padding, T)
+        g = np.zeros(out.shape)
+        g[:, :, crop] = rng.standard_normal(out[:, :, crop].shape)
+        assert_within_prefix_sum_bound(
+            kernel.avg_pool1d_backward(g, cache),
+            avg_pool1d_backward_scatter(g[:, :, crop], kernel_size, padding, T,
+                                        counts[crop]),
+            g / counts, kernel_size // 2)
 
     @pytest.mark.parametrize("kernel_size,batch,padding,T",
                              [(9, 1, 4, 12), (9, 2, 4, 12), (27, 1, 13, 30),
                               (27, 2, 13, 30), (4, 2, 1, 11), (5, 3, 2, 13)])
     def test_gradient(self, kernel_size, batch, padding, T):
+        """Every odd row is padded by kernel // 2; the even one is refused."""
+        if refused(kernel_size):
+            return
         rng = np.random.default_rng(kernel_size)
         x = Parameter(rng.uniform(-1, 1, (batch, 2, T)), "x")
-        out_shape = kernel.avg_pool1d(x.value, kernel_size, padding)[0].shape
-        r = rng.uniform(-1, 1, out_shape)
+        r = rng.uniform(-1, 1, x.value.shape)
 
         def fn():
-            out, cache = kernel.avg_pool1d(x.value, kernel_size, padding)
+            out, cache = kernel.avg_pool1d(x.value, kernel_size)
             x.grad += kernel.avg_pool1d_backward(r, cache)
             return (out * r).sum()
         report = grad_check(fn, [x], tolerance=1e-8)
@@ -260,29 +293,30 @@ def assert_same_array(a, b):
             == [s for s, n in zip(b.strides, b.shape) if n > 1])
 
 
-def conv1d_einsum(x, w, b, padding=0):
-    """Reference: conv1d as an einsum over a sliding-window view."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+def conv1d_einsum(x, w, b):
+    """Reference: conv1d as an einsum over a sliding-window view of the
+    input padded by K // 2."""
+    padding = w.shape[2] // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
     win = sliding_window_view(xp, w.shape[2], axis=2)
     return np.einsum("bctk,ock->bot", win, w, optimize=True) + b[None, :, None]
 
 
 def conv1d_backward_einsum(g, cache):
     """Reference: conv1d_backward as one einsum for dw and one per tap for dx."""
-    xp, w, padding, T = cache
+    xp, w = cache
     K = w.shape[2]
+    padding, T = K // 2, g.shape[2]
     win = sliding_window_view(xp, K, axis=2)
     dw = np.einsum("bot,bctk->ock", g, win, optimize=True)
     db = g.sum(axis=(0, 2))
     dxp = np.zeros_like(xp)
-    To = g.shape[2]
     for k in range(K):
-        dxp[:, :, k:k + To] += np.einsum("bot,oc->bct", g, w[:, :, k], optimize=True)
-    dx = dxp[:, :, padding:padding + T] if padding else dxp
-    return dx, dw, db
+        dxp[:, :, k:k + T] += np.einsum("bot,oc->bct", g, w[:, :, k], optimize=True)
+    return dxp[:, :, padding:padding + T], dw, db
 
 
-def avg_pool1d_window_sum(x, kernel_size, padding=0):
+def avg_pool1d_window_sum(x, kernel_size, padding):
     """Reference: avg_pool1d as a sum over a sliding-window view."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
     win = sliding_window_view(xp, kernel_size, axis=2)
@@ -309,10 +343,10 @@ CONV_WIDTHS = ((16, 16), (16, 8), (8, 1), (64, 16), (64, 128), (128, 128),
 class TestConvGemmBytes:
     """conv1d gives the einsum reference's bytes and layout on a
     channel-major input. A C-order input is padded into a channel-major
-    buffer, whose im2col the reference reads with other strides when T' = 1,
+    buffer, whose im2col the reference reads with other strides when T = 1,
     so there the output is held to the dot-product bound (Cin*K products
     and the bias). conv1d_backward gives the reference's db bytes, and dw and dx within
-    the dot-product bound: a dw entry sums B*T' products, a dx entry at most
+    the dot-product bound: a dw entry sums B*T products, a dx entry at most
     Cout*K. dx is channel-major."""
 
     @pytest.mark.parametrize("K", [1, 3, 7])
@@ -322,42 +356,43 @@ class TestConvGemmBytes:
         rng = np.random.default_rng([K, cin, cout])
         w = rng.uniform(-1, 1, (cout, cin, K))
         b = rng.uniform(-1, 1, cout)
-        for padding in sorted({0, K // 2}):
-            # (3, 11): a batch; (1, 9): one video; T = K - 2*padding: T' = 1
-            for B, T in ((3, 11), (1, 9), (4, K - 2 * padding)):
-                if T < 1:
-                    continue
-                x = wide_range(rng, (B, cin, T), x_layout)
-                out, cache = kernel.conv1d(x, w, b, padding)
-                ref = conv1d_einsum(x, w, b, padding)
-                if x_layout == "cm":
-                    assert_same_array(out, ref)
-                else:
-                    assert_within_dot_bound(
-                        out, ref, conv1d_einsum(np.abs(x), np.abs(w), np.abs(b), padding),
-                        cin * K + 1)
-                    assert_channel_major(out)
-                abs_cache = (np.abs(cache[0]), np.abs(w), padding, T)
-                for g_layout in ("c", "cm"):
-                    g = wide_range(rng, out.shape, g_layout)
-                    dx, dw, db = kernel.conv1d_backward(g, cache)
-                    ref_dx, ref_dw, ref_db = conv1d_backward_einsum(g, cache)
-                    abs_dx, abs_dw, _ = conv1d_backward_einsum(np.abs(g), abs_cache)
-                    assert_within_dot_bound(dw, ref_dw, abs_dw, B * out.shape[2])
-                    assert_within_dot_bound(dx, ref_dx, abs_dx, cout * K)
-                    assert_channel_major(dx)
-                    assert_same_array(db, ref_db)
+        # (3, 11): a batch; (1, 9): one video; (4, 1): one frame each
+        for B, T in ((3, 11), (1, 9), (4, 1)):
+            x = wide_range(rng, (B, cin, T), x_layout)
+            out, cache = kernel.conv1d(x, w, b)
+            ref = conv1d_einsum(x, w, b)
+            if x_layout == "cm":
+                assert_same_array(out, ref)
+            else:
+                assert_within_dot_bound(
+                    out, ref, conv1d_einsum(np.abs(x), np.abs(w), np.abs(b)),
+                    cin * K + 1)
+                assert_channel_major(out)
+            abs_cache = (np.abs(cache[0]), np.abs(w))
+            for g_layout in ("c", "cm"):
+                g = wide_range(rng, out.shape, g_layout)
+                dx, dw, db = kernel.conv1d_backward(g, cache)
+                ref_dx, ref_dw, ref_db = conv1d_backward_einsum(g, cache)
+                abs_dx, abs_dw, _ = conv1d_backward_einsum(np.abs(g), abs_cache)
+                assert_within_dot_bound(dw, ref_dw, abs_dw, B * T)
+                assert_within_dot_bound(dx, ref_dx, abs_dx, cout * K)
+                assert_channel_major(dx)
+                assert_same_array(db, ref_db)
 
     @pytest.mark.parametrize("K,padding", [(1, 0), (3, 1), (7, 3), (3, 0)])
     @pytest.mark.parametrize("cin,cout", [(64, 16), (16, 16), (128, 128)])
     def test_without_dx(self, K, padding, cin, cout):
-        """need_dx=False returns no dx and the dw and db bytes of the full call."""
+        """need_dx=False returns no dx and the dw and db bytes of the full
+        call. Padded by less than K // 2, the conv's backward is the
+        same-length backward of a g that is zero outside the crop."""
         rng = np.random.default_rng([K, padding, cin, cout])
         w = rng.uniform(-1, 1, (cout, cin, K))
         b = rng.uniform(-1, 1, cout)
         x = wide_range(rng, (3, cin, 11), "cm")
-        out, cache = kernel.conv1d(x, w, b, padding)
+        out, cache = kernel.conv1d(x, w, b)
         g = wide_range(rng, out.shape, "cm")
+        crop = centre_crop(K, padding, 11)
+        g[:, :, :crop.start] = g[:, :, crop.stop:] = 0.0
         _, dw, db = kernel.conv1d_backward(g, cache)
         dx, dw_only, db_only = kernel.conv1d_backward(g, cache, need_dx=False)
         assert dx is None
@@ -372,28 +407,38 @@ class TestAvgPoolTapBytes:
     @pytest.mark.parametrize("kernel_size,batch,padding,T", POOL_GEOMETRIES)
     @pytest.mark.parametrize("layout", ["c", "cm"])
     def test_pool_geometries(self, kernel_size, batch, padding, T, layout):
+        """Padded by less than kernel // 2, the pool is the same-length
+        pool's `centre_crop`."""
+        if refused(kernel_size):
+            return
         x = wide_range(np.random.default_rng([kernel_size, T]), (batch, 3, T), layout)
-        out, (_, _, counts) = kernel.avg_pool1d(x, kernel_size, padding)
+        out, (_, counts) = kernel.avg_pool1d(x, kernel_size)
+        crop = centre_crop(kernel_size, padding, T)
         assert_within_prefix_sum_bound(
-            out, avg_pool1d_window_sum(x, kernel_size, padding), x, padding, counts)
+            out[:, :, crop], avg_pool1d_window_sum(x, kernel_size, padding), x,
+            kernel_size // 2, counts[crop])
 
     @pytest.mark.parametrize("kernel_size", list(range(1, 41)) + [129, 300])
     @pytest.mark.parametrize("layout", ["c", "cm"])
     def test_kernels_and_strides(self, kernel_size, layout):
-        """Every kernel, unpadded and padded by kernel // 2, on two videos in
-        both memory layouts (all at stride 1; the name keeps the test ids)."""
-        rng = np.random.default_rng(kernel_size)
-        for padding in sorted({0, kernel_size // 2}):
-            x = wide_range(rng, (2, 3, kernel_size + 3), layout)
-            out, (_, _, counts) = kernel.avg_pool1d(x, kernel_size, padding)
-            assert_within_prefix_sum_bound(
-                out, avg_pool1d_window_sum(x, kernel_size, padding), x, padding,
-                counts)
+        """Every odd kernel on two videos in both memory layouts; every even
+        one is refused (all at stride 1; the name keeps the test ids)."""
+        if refused(kernel_size):
+            return
+        padding = kernel_size // 2
+        x = wide_range(np.random.default_rng(kernel_size), (2, 3, kernel_size + 3),
+                       layout)
+        out, (_, counts) = kernel.avg_pool1d(x, kernel_size)
+        assert_within_prefix_sum_bound(
+            out, avg_pool1d_window_sum(x, kernel_size, padding), x, padding, counts)
 
     @pytest.mark.parametrize("kernel_size", [1, 2, 3, 7, 8, 9, 16, 27, 40])
     def test_negative_zero_window(self, kernel_size):
-        """A row of -0.0 pools to zeros. Their sign is not pinned: window 0
-        is S[n] - S[0] = -0.0 - 0.0, where numpy's sum starts from +0.0."""
+        """A row of -0.0 pools to zeros; an even kernel is refused. Their
+        sign is not pinned: a window at the start is S[t + n] - S[t] with
+        S[t] the padding's +0.0."""
+        if refused(kernel_size):
+            return
         x = np.full((2, 3, kernel_size + 2), -0.0)
         out, _ = kernel.avg_pool1d(x, kernel_size)
         assert np.array_equal(out, np.zeros_like(out))
@@ -405,7 +450,7 @@ class TestAvgPoolTapBytes:
         over the count, on N(0.5, 1) rows as long as 4096 frames."""
         x = np.random.default_rng([T, kernel_size]).normal(0.5, 1.0, (1, 2, T))
         padding = kernel_size // 2
-        out, (_, _, counts) = kernel.avg_pool1d(x, kernel_size, padding)
+        out, (_, counts) = kernel.avg_pool1d(x, kernel_size)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))).tolist()
         exact = np.array([[[math.fsum(row[t:t + kernel_size]) for t in range(T)]
                            for row in video] for video in xp]) / counts
@@ -528,18 +573,22 @@ def check_batch_norm_backward(g, cache, ref_cache):
 
 
 class TestFrameLayout:
-    """One C=16 training step: every [B, C, T] operand and result of the
-    conv, pool and batch-norm kernels is channel-major, and a 1-tap
-    conv1d_backward reads its channel-major g without copying it."""
+    """A C=16 training step and a ten-crop eval forward: every [B, C, T]
+    operand and result of the conv, pool and batch-norm kernels is
+    channel-major, and a 1-tap conv1d_backward reads its channel-major g
+    without copying it."""
 
     SPIED = ("conv1d", "conv1d_backward", "avg_pool1d", "batch_norm1d",
              "batch_norm1d_backward")
 
-    def test_train_step(self, monkeypatch):
+    def run(self, monkeypatch, step):
+        """`step(cfg, model, weights)` of a C=16 model with every SPIED
+        kernel spied on; returns (name, args, result, transient bytes) per
+        call, after checking that every 3-d operand and result is
+        channel-major."""
         from dams.amtpn import PyramidConfig
-        from dams.data import SyntheticSpec, batch_iter, synthesize_dataset
         from dams.model import ModelConfig
-        from dams.trainer import TrainConfig, build_model, train_step
+        from dams.trainer import TrainConfig, build_model
 
         calls = []
 
@@ -561,24 +610,46 @@ class TestFrameLayout:
         model = ModelConfig(input_dim=16, channels=16, depth=1,
                             pyramid=PyramidConfig(scales=(1, 3, 9, 27), channels=16))
         cfg = TrainConfig(model=model, seed=0, batch_size=8)
-        records = synthesize_dataset(SyntheticSpec(num_videos=8, t_min=20, t_max=40,
-                                                   input_dim=16, seed=0))
-        net, weights = build_model(cfg)
-        train_step(net, weights, next(batch_iter(records, 8, 0, "train")), cfg, 0)
+        step(cfg, *build_model(cfg))
 
-        assert {name for name, *_ in calls} == set(self.SPIED)
-        copy_checked = 0
         for name, args, result, transient in calls:
             for a in (args[0], result[0]):
                 if isinstance(a, np.ndarray):
                     assert a.ndim == 3
                     assert_channel_major(a)
+        return calls
+
+    def test_train_step(self, monkeypatch):
+        from dams.data import SyntheticSpec, batch_iter, synthesize_dataset
+        from dams.trainer import train_step
+
+        records = synthesize_dataset(SyntheticSpec(num_videos=8, t_min=20, t_max=40,
+                                                   input_dim=16, seed=0))
+        calls = self.run(monkeypatch, lambda cfg, net, weights: train_step(
+            net, weights, next(batch_iter(records, 8, 0, "train")), cfg, 0))
+
+        assert {name for name, *_ in calls} == set(self.SPIED)
+        copy_checked = 0
+        for name, args, result, transient in calls:
             if name == "conv1d_backward":
-                g, (_, w, padding, _) = args[0], args[1]
-                if w.shape[0] > 1 and w.shape[2] == 1 and not padding:
+                g, (_, w) = args[0], args[1]
+                if w.shape[0] > 1 and w.shape[2] == 1:
                     assert transient < g.nbytes // 2, (w.shape, transient, g.nbytes)
                     copy_checked += 1
         assert copy_checked >= 6  # the projection, four TPP convs, AFF's refine, head.conv1
+
+    def test_score_video(self, monkeypatch):
+        """`score_video` stacks the crops into a channel-major buffer, so the
+        projection's im2col reads it as a view."""
+        from dams.data import SyntheticSpec, synthesize_dataset
+        from dams.trainer import score_video
+
+        record = synthesize_dataset(SyntheticSpec(num_videos=1, t_min=30, t_max=30,
+                                                  input_dim=16, num_crops=10,
+                                                  seed=0))[0]
+        calls = self.run(monkeypatch, lambda cfg, net, weights: score_video(net, record))
+        assert {name for name, *_ in calls} == {"conv1d", "avg_pool1d", "batch_norm1d"}
+        assert calls[0][1][0].shape == (10, 16, 30)  # the projection's input
 
 
 class TestGlobalAvgPool:
@@ -595,11 +666,13 @@ class TestGlobalAvgPool:
         np.testing.assert_array_equal(out, arr3([[2.0]]))
 
     def test_matches_full_width_avg_pool(self):
-        """`mean_over(x, 2)` agrees with one unpadded window of width T."""
+        """`mean_over(x, 2)` agrees at every frame with the centred pool of
+        width 2T - 1, whose every window covers the whole row."""
         x = np.random.default_rng(3).standard_normal((2, 4, 9))
         gap, _ = kernel.mean_over(x, 2)
-        pooled, _ = kernel.avg_pool1d(x, kernel=9, padding=0)
-        np.testing.assert_allclose(gap, pooled[:, :, 0], atol=1e-15)
+        pooled, _ = kernel.avg_pool1d(x, 17)
+        np.testing.assert_allclose(pooled, np.repeat(gap[:, :, None], 9, axis=2),
+                                   atol=1e-15)
 
 
 class TestLinear:
@@ -783,6 +856,6 @@ class TestBackwardPasses:
     def test_determinism(self):
         x = np.random.default_rng(5).uniform(-1, 1, (2, 3, 8))
         w = np.random.default_rng(6).uniform(-1, 1, (4, 3, 3))
-        a, _ = kernel.conv1d(x, w, np.zeros(4), padding=1)
-        b, _ = kernel.conv1d(x, w, np.zeros(4), padding=1)
+        a, _ = kernel.conv1d(x, w, np.zeros(4))
+        b, _ = kernel.conv1d(x, w, np.zeros(4))
         assert np.array_equal(a, b)

@@ -122,6 +122,20 @@ class TestModelForward:
                                   rng=np.random.default_rng(0))
         assert report.passed, report.max_rel_error
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dropout_gradient(self, monkeypatch, seed):
+        """The full-model check at dropout 0.5. train_step draws the mask
+        from (seed, 0xD0, iteration), so every differenced loss sees the
+        same mask, and the head's gradient must pass through it."""
+        import dataclasses
+        from dams import checks
+        monkeypatch.setattr(checks, "SMALL_MODEL",
+                            dataclasses.replace(SMALL_MODEL, dropout=0.5))
+        report = checks.check_full_model(seed, tolerance=1e-6,
+                                         max_entries_per_param=3,
+                                         rng=np.random.default_rng(seed))
+        assert report.passed, report.max_rel_error
+
 
 def _sha256_lines(names):
     return hashlib.sha256("\n".join(names).encode()).hexdigest()
@@ -324,5 +338,3 @@ class TestClipPathConfig:
             ClipPathConfig(temperature=0.0)
         with pytest.raises(ConfigError):
             ClipPathConfig(scaling=-1.0)
-        with pytest.raises(ConfigError):
-            ClipPathConfig(threshold=1.0)
