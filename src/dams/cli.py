@@ -1,13 +1,7 @@
 """Command-line surface: synth, train, eval, score, plot, gradcheck, info.
 
-Exit codes (machine-readable error categories):
-    0  success
-    2  configuration error (bad config file, bad flag combination)
-    3  missing input path
-    4  file-format error (feature files, checkpoints, manifests, score CSVs,
-       a directory given as a file or a file as a directory)
-    5  numeric failure (non-finite loss or gradient, failed gradient check,
-       undefined metric)
+Each error maps to one exit code and one stderr category through `ERRORS`;
+success exits 0.
 """
 
 from __future__ import annotations
@@ -44,6 +38,20 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_FORMAT = 4
 EXIT_NUMERIC = 5
+
+# (exception types, exit code, stderr category): `main` prints
+# `error: CATEGORY: message` and returns the code of the first matching row.
+# A FeatureFileError subclass names its code, as in `format:bad-checksum`.
+ERRORS = (
+    ((ConfigError,), EXIT_CONFIG, "config"),
+    ((json.JSONDecodeError,), EXIT_CONFIG, "config: invalid JSON"),
+    ((FileNotFoundError,), EXIT_MISSING, "missing-path"),
+    # also a directory given where a file belongs, or a file where a directory does
+    ((FeatureFileError, IsADirectoryError, NotADirectoryError, FileExistsError),
+     EXIT_FORMAT, "format"),
+    ((NonFiniteLossError, GradCheckAborted, UndefinedMetricError),
+     EXIT_NUMERIC, "numeric"),
+)
 
 log = logging.getLogger("dams")
 
@@ -138,7 +146,8 @@ def cmd_train(args):
         best = f"best val AUC {result.best_auc:.4f} at iteration {result.best_iteration}"
     else:
         best = "no validation pass ran"
-    print(f"trained {cfg.max_iterations} iterations; {best}")
+    trained = sum("total" in entry for entry in result.history)
+    print(f"trained {trained} iterations; {best}")
     return EXIT_OK
 
 
@@ -281,13 +290,17 @@ def cmd_info(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    first = {}
+    for _, code, category in ERRORS:
+        first.setdefault(code, category)
+    codes = ", ".join(f"{code} {category}" for code, category in first.items())
     parser = argparse.ArgumentParser(
         prog="dams",
         description="Multiscale temporal anomaly detection: synthetic "
                     "benchmark, training, evaluation, and diagnostics.",
-        epilog="Exit codes: 0 ok, 2 config error, 3 missing path, "
-               "4 file-format error, 5 numeric failure. "
-               "Set DAMS_LOG=error|warn|info|debug for log verbosity.")
+        epilog=f"Exit codes: 0 ok, {codes}; an error prints `error: CATEGORY: "
+               "message` on stderr. Set DAMS_LOG=error|warn|info|debug for log "
+               "verbosity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic planted-anomaly dataset")
@@ -359,26 +372,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: config: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: missing-path: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except FeatureFileError as exc:
-        kind = "format" if exc.code == "format" else f"format:{exc.code}"
-        print(f"error: {kind}: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
-        # a directory given where a file belongs, or a file where a directory does
-        print(f"error: format: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (NonFiniteLossError, GradCheckAborted, UndefinedMetricError) as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(t for types, _, _ in ERRORS for t in types) as exc:
+        code, category = next((code, category) for types, code, category in ERRORS
+                              if isinstance(exc, types))
+        if isinstance(exc, FeatureFileError) and exc.code != "format":
+            category = f"format:{exc.code}"
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

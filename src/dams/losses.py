@@ -116,11 +116,23 @@ def topk_rows(values, mask, fraction):
             for row, valid in zip(order, mask.sum(axis=-1))]
 
 
+def topk_mean(values, sets):
+    """Per row i of `values` [B, T], the mean of its frames `sets[i]`."""
+    return np.array([row[idx].mean() for row, idx in zip(values, sets)])
+
+
+def topk_mean_backward(g, sets, into):
+    """Adjoint of `topk_mean`: adds g[i] / len(sets[i]) to the frames
+    `sets[i]` of row i of `into`, row by row."""
+    for i, idx in enumerate(sets):
+        into[i, idx] += g[i] / len(idx)
+
+
 def topk_video_score(frame_scores, fraction):
     """Mean of the ceil(fraction * T) largest frame scores."""
-    values = np.asarray(frame_scores, dtype=np.float64)
-    top, = topk_rows(values[None], np.ones((1, values.shape[0])), fraction)
-    return float(values[top].mean())
+    values = np.asarray(frame_scores, dtype=np.float64)[None]
+    sets = topk_rows(values, np.ones(values.shape), fraction)
+    return float(topk_mean(values, sets)[0])
 
 
 def video_cls_loss(video_logits, labels):

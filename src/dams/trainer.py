@@ -251,8 +251,7 @@ def train_step(model: DamsModel, weights: UncertaintyWeights, batch: Batch,
 
     # video-level top-k classification on logits, sigmoid applied once after
     topk_sets = L.topk_rows(out.frame_logits, mask, cfg.loss.topk_fraction)
-    video_logits = np.array([out.frame_logits[i, idx].mean()
-                             for i, idx in enumerate(topk_sets)])
+    video_logits = L.topk_mean(out.frame_logits, topk_sets)
     l_cls, d_vlogits = L.video_cls_loss(video_logits, batch.labels)
 
     # triplet separation on penultimate embeddings
@@ -273,10 +272,8 @@ def train_step(model: DamsModel, weights: UncertaintyWeights, batch: Batch,
 
     d_logits = np.zeros_like(out.frame_logits)
     if d_scores is not None:
-        s = out.frame_scores
-        d_logits += w_pse * d_scores * s * (1.0 - s)
-    for i, idx in enumerate(topk_sets):
-        d_logits[i, idx] += w_cls * d_vlogits[i] / len(idx)
+        d_logits += kernel.sigmoid_backward(w_pse * d_scores, out.frame_scores)
+    L.topk_mean_backward(w_cls * d_vlogits, topk_sets, d_logits)
     d_emb = None
     if trip_grads is not None:
         d_emb = np.zeros_like(out.embeddings)
@@ -389,9 +386,11 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
           resume=None) -> TrainResult:
     """Run the iteration-budgeted training protocol.
 
-    Every `validate_every` iterations the validation split is scored (eval
-    mode; parameters and optimizer untouched) and the best-AUC state is
-    retained. The returned history is the exact content of log.jsonl.
+    Every `validate_every` iterations, skipped degenerate batches included,
+    the validation split is scored (eval mode; parameters and optimizer
+    untouched) and the best-AUC state is retained. The returned history is
+    the exact content of log.jsonl; a skipped iteration's line, written only
+    when it validates, carries no loss fields.
     Training batches are collated one at a time, as each step takes them.
     The first call in a process sets the heap policy of `_keep_heap_mapped`.
     """
@@ -438,25 +437,26 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
     history = []
     # the range comes first, so zip collates no batch past the budget
     for it, batch in zip(range(start_iter, cfg.max_iterations), batches):
+        entry = {"iter": it + 1}
         B, _, T = batch.features.shape
         if B * T < 2 and _has_batch_norm(model):
             log.warning("iteration %d: degenerate batch skipped (batch norm over "
                         "B*T = %d < 2 frames)", it + 1, B * T)
-            continue
-        kernel.zero_grads(params)
-        try:
-            breakdown = train_step(model, weights, batch, cfg, it)
-        except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"iteration {it + 1}: {exc}") from exc
-        bad = next((p for p in params if not np.isfinite(p.grad).all()), None)
-        if bad is not None:
-            raise NonFiniteLossError(f"iteration {it + 1}: non-finite gradient of "
-                                     f"{bad.name} on videos {batch.video_ids}")
-        opt.step()
-        entry = {"iter": it + 1,
-                 "l_pse": breakdown.l_pse, "l_cls": breakdown.l_cls,
-                 "l_trip": breakdown.l_trip, "total": breakdown.total,
-                 "sigma2": [float(s) for s in breakdown.sigma2]}
+        else:
+            kernel.zero_grads(params)
+            try:
+                breakdown = train_step(model, weights, batch, cfg, it)
+            except NonFiniteLossError as exc:
+                raise NonFiniteLossError(f"iteration {it + 1}: {exc}") from exc
+            bad = next((p for p in params if not np.isfinite(p.grad).all()), None)
+            if bad is not None:
+                raise NonFiniteLossError(f"iteration {it + 1}: non-finite gradient "
+                                         f"of {bad.name} on videos {batch.video_ids}")
+            opt.step()
+            entry.update(l_pse=breakdown.l_pse, l_cls=breakdown.l_cls,
+                         l_trip=breakdown.l_trip, total=breakdown.total,
+                         sigma2=[float(s) for s in breakdown.sigma2])
+        # a skipped iteration still validates on schedule
         if val_records is not None and (it + 1) % cfg.validate_every == 0:
             report = evaluate(model, val_records)
             entry["val_auc"] = report.auc
@@ -465,8 +465,9 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
                 best_auc = report.auc
                 best_iteration = it + 1
                 best_state = snapshot_state()
-        history.append(entry)
-        log.info("%s", _log_line(entry))
+        if len(entry) > 1:  # a skipped iteration that did not validate logs nothing
+            history.append(entry)
+            log.info("%s", _log_line(entry))
 
     if best_state is None:
         best_state = snapshot_state()

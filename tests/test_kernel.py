@@ -100,7 +100,7 @@ class TestPooling:
             with pytest.raises(DimensionError, match="not odd"):
                 kernel.avg_pool1d(np.zeros((1, 1, 3)), k)
 
-    def test_max_unit_kernel_identity(self):
+    def test_max_over_unit_axis_identity(self):
         """A max over an axis of length 1 is the input without that axis."""
         x = np.random.default_rng(2).standard_normal((2, 3, 1))
         out, _ = kernel.max_over(x, 2)
@@ -120,7 +120,7 @@ class TestPooling:
         out, _ = kernel.max_over(np.full((1, 2, 7), 3.5), 2)
         np.testing.assert_array_equal(out, np.full((1, 2), 3.5))
 
-    def test_max_padding_sentinel_never_wins(self):
+    def test_max_over_all_negative_row(self):
         """An all -100 row gives -100: nothing but the row enters the max."""
         out, _ = kernel.max_over(np.full((1, 1, 4), -100.0), 2)
         np.testing.assert_array_equal(out, np.full((1, 1), -100.0))
@@ -652,7 +652,7 @@ class TestFrameLayout:
         assert calls[0][1][0].shape == (10, 16, 30)  # the projection's input
 
 
-class TestGlobalAvgPool:
+class TestMeanOver:
     """`mean_over(x, 2)`, the temporal mean of every descriptor."""
 
     def test_constant(self):

@@ -231,6 +231,20 @@ class TestTraining:
             if entry["iter"] % 2 == 0:
                 assert "val_auc" in entry and "val_ap" in entry
 
+    def test_skipped_iteration_validates_on_schedule(self):
+        """Every batch of one one-frame video is skipped, yet iterations 2 and
+        4 validate and log a line without loss fields; the first of two equal
+        AUCs is the best."""
+        records = synthesize_dataset(SyntheticSpec(num_videos=4, t_min=1, t_max=1,
+                                                   input_dim=6))
+        val = synthesize_dataset(SyntheticSpec(num_videos=2, t_min=3, t_max=3,
+                                               input_dim=6, seed=1))
+        assert {0.0, 1.0} <= set(np.concatenate([r.frame_gt for r in val]))
+        result = train(small_config(batch_size=1), records, val)
+        assert [sorted(h) for h in result.history] == [["iter", "val_ap", "val_auc"]] * 2
+        assert [h["iter"] for h in result.history] == [2, 4]
+        assert math.isfinite(result.best_auc) and result.best_iteration == 2
+
     def test_validation_does_not_mutate_state(self):
         records = small_records()
         cfg_with = small_config(validate_every=1)
