@@ -29,7 +29,8 @@ from .trainer import (ABLATION_VARIANTS, Adam, EvalReport, TrainConfig,
                       TrainResult, ablate, apply_variant, build_model,
                       config_from_dict, config_hash, config_to_dict,
                       evaluate, load_checkpoint, load_model_for_inference,
-                      save_checkpoint, score_video, train, train_step)
+                      save_checkpoint, score_video, score_videos, train,
+                      train_step)
 
 __version__ = "0.1.0"
 

@@ -18,8 +18,8 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .layers import (AvgPool1d, BatchNorm1d, Conv1d, Gate, Layer, Linear, Mean,
-                     Relu, Sequential, Sigmoid)
+from .layers import (AvgPool1d, Conv1d, ConvBn, Gate, Layer, Linear, Mean, Relu,
+                     Sequential, Sigmoid)
 
 
 class ConfigError(ValueError):
@@ -54,18 +54,20 @@ class PyramidConfig:
 
 class Tpp(Layer):
     """One branch per scale s: avg_pool(s) -> conv1x1 -> BN -> ReLU; scale 1,
-    whose pool is the identity, starts at the conv."""
+    whose pool is the identity, starts at the conv. With a mask, the input's
+    padded frames are zeroed once for every pool."""
 
     def __init__(self, cfg: PyramidConfig, rng, name="tpp"):
         super().__init__()
         c = cfg.channels
         self.branches = [Sequential(*([AvgPool1d(s)] if s > 1 else []),
-                                    Conv1d(c, c, 1, rng, f"{name}.s{s}.conv"),
-                                    BatchNorm1d(c, f"{name}.s{s}.bn"), Relu())
+                                    ConvBn(c, c, 1, rng, f"{name}.s{s}"), Relu())
                          for s in cfg.scales]
 
-    def forward(self, x, train=False):
-        return [br.forward(x, train) for br in self.branches]
+    def forward(self, x, train=False, mask=None):
+        if mask is not None:
+            x = kernel.mask_frames(x, mask)
+        return [br.forward(x, train, mask) for br in self.branches]
 
     def backward(self, grads):
         dx = None
@@ -97,15 +99,15 @@ class Aff(Layer):
             # has no descriptor MLP or head to train
             self.mlp = self.head = None
 
-    def forward(self, branches, train=False):
+    def forward(self, branches, train=False, mask=None):
         if len(branches) == 0:
             raise EmptyPyramidError("aff_forward: no branches")
         if len(branches) != self.k:
             raise ConfigError(f"aff_forward: expected {self.k} branches, got {len(branches)}")
         B = branches[0].shape[0]
         if self.head is not None:
-            concat = np.concatenate([self.mlp.forward(br, train) for br in branches],
-                                    axis=1)
+            concat = np.concatenate([self.mlp.forward(br, train, mask)
+                                     for br in branches], axis=1)
             logits = self.head.forward(concat, train)
             weights, sm_cache = kernel.softmax(logits, axis=1)
         else:
@@ -168,14 +170,15 @@ class Amtpn(Layer):
         self.tce = (Tce(cfg.channels, cfg.reduction_ratio, rng, f"{name}.tce")
                     if use_tce else None)
 
-    def fuse(self, x, train=False):
+    def fuse(self, x, train=False, mask=None):
         """(output, the AFF fusion weights [B, K])."""
-        fused, weights = self.aff.forward(self.tpp.forward(x, train), train)
-        out = self.tce.forward(fused, train) if self.tce is not None else fused
+        fused, weights = self.aff.forward(self.tpp.forward(x, train, mask), train,
+                                          mask)
+        out = self.tce.forward(fused, train, mask) if self.tce is not None else fused
         return out, weights
 
-    def forward(self, x, train=False):
-        return self.fuse(x, train)[0]
+    def forward(self, x, train=False, mask=None):
+        return self.fuse(x, train, mask)[0]
 
     def backward(self, g):
         if self.tce is not None:

@@ -46,10 +46,10 @@ class ChannelAttention(Layer):
         self.avg_pool, self.max_pool = Mean(2), Max(2)
         self.gate = Sigmoid()
 
-    def forward(self, f, train=False):
-        m = self.gate.forward(self.mlp.forward(self.avg_pool.forward(f, train), train)
-                              + self.mlp.forward(self.max_pool.forward(f, train), train),
-                              train)
+    def forward(self, f, train=False, mask=None):
+        m = self.gate.forward(
+            self.mlp.forward(self.avg_pool.forward(f, train, mask), train)
+            + self.mlp.forward(self.max_pool.forward(f, train, mask), train), train)
         return m[:, :, None]
 
     def backward(self, g_m):
@@ -61,7 +61,8 @@ class ChannelAttention(Layer):
 
 
 class TemporalAttention(Layer):
-    """M_t = sigmoid(conv_k([mean_C(f); max_C(f)])), shape [B, 1, T]."""
+    """M_t = sigmoid(conv_k([mean_C(f); max_C(f)])), shape [B, 1, T]. The
+    channel pools need no mask; the conv reads padded frames as zero."""
 
     def __init__(self, kernel_size, rng, name="ta"):
         super().__init__()
@@ -71,12 +72,12 @@ class TemporalAttention(Layer):
         self.gate = Sigmoid()
         self.avg_pool, self.max_pool = Mean(1), Max(1)
 
-    def forward(self, f, train=False):
+    def forward(self, f, train=False, mask=None):
         B, _, T = f.shape
         pooled = kernel.frame_buffer(B, 2, T)
         pooled[:, 0] = self.avg_pool.forward(f, train)
         pooled[:, 1] = self.max_pool.forward(f, train)
-        return self.gate.forward(self.conv.forward(pooled, train), train)
+        return self.gate.forward(self.conv.forward(pooled, train, mask), train)
 
     def backward(self, g_m):
         g_pooled = self.conv.backward(self.gate.backward(g_m))

@@ -92,7 +92,7 @@ def check_batch_norm1d(seed, **kw):
     state = kernel.BatchNormState.create(4)
     return _op_check(
         seed, [((2, 4, 6), "x"), ((4,), "gamma", 0.5, 1.5), ((4,), "beta")],
-        (2, 4, 6), lambda x, g, b: kernel.batch_norm1d(x, g, b, state, train=True),
+        (2, 4, 6), lambda x, g, b: kernel.batch_norm1d(x, g, b, state),
         kernel.batch_norm1d_backward, **kw)
 
 

@@ -31,7 +31,8 @@ from .model import ModelConfig
 from .plotting import render_score_svg
 from .trainer import (ABLATION_VARIANTS, TrainConfig, apply_variant,
                       config_from_dict, config_to_dict, evaluate,
-                      load_model_for_inference, score_video, train)
+                      load_model_for_inference, score_videos, train)
+from .trainer import score_video  # noqa: F401 (the one-video scorer, public here too)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,18 +152,32 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_output_path(path):
+    """Raise what opening `path` for writing would, for a path of the wrong
+    kind or under no directory, without creating it."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
+    if not path.parent.is_dir():
+        error = NotADirectoryError if path.parent.exists() else FileNotFoundError
+        raise error(f"{path}: {path.parent} is not a directory")
+
+
 def cmd_eval(args):
+    for path in (args.out, args.csv):  # before either is written
+        if path is not None:
+            _check_output_path(path)
     records = load_dataset(args.dataset)
     model, cfg, _ = load_model_for_inference(args.checkpoint)
     _check_input_dim(cfg, records)
-    report = evaluate(model, records)
-    payload = json.dumps(report.to_dict(), sort_keys=True)
+    report = evaluate(model, records, cfg.eval_batch_size)
     if args.out is not None:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    print(f"auc {report.auc:.6f} ap {report.ap:.6f}")
+        Path(args.out).write_text(json.dumps(report.to_dict(), sort_keys=True) + "\n",
+                                  encoding="utf-8")
     if args.csv is not None:
         _write_score_csv(args.csv, records,
                          [row["scores"] for row in report.per_video])
+    print(f"auc {report.auc:.6f} ap {report.ap:.6f}")
     return EXIT_OK
 
 
@@ -183,7 +198,7 @@ def cmd_score(args):
     model, cfg, _ = load_model_for_inference(args.checkpoint)
     _check_input_dim(cfg, records)
     _write_score_csv(args.out, records,
-                     [score_video(model, rec) for rec in records])
+                     score_videos(model, records, cfg.eval_batch_size))
     print(f"wrote per-frame scores for {len(records)} videos to {args.out}")
     return EXIT_OK
 

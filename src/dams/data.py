@@ -415,16 +415,21 @@ def synthesize_dataset(spec: SyntheticSpec):
 
 @dataclasses.dataclass
 class Batch:
+    """One row per video (its first crop) in train mode, one row per crop in
+    eval mode (a video's crops in consecutive rows); every field is per row."""
+
     video_ids: list
-    features: np.ndarray     # [B, Din, Tmax], zero-padded, first crop; channel-major
+    features: np.ndarray     # [B, Din, Tmax], zero-padded; channel-major
     mask: np.ndarray         # [B, Tmax], 1 on real frames
     labels: np.ndarray       # [B], 1 = anomalous
     pseudo_probs: np.ndarray # [B, Tmax], 0 outside mask / when absent
     has_pseudo: np.ndarray   # [B]
 
 
-def _collate(records):
-    b = len(records)
+def _collate(records, every_crop=False):
+    rows = [(r, crop) for r in records
+            for crop in (r.crops if every_crop else r.crops[:1])]
+    b = len(rows)
     din = records[0].input_dim
     tmax = max(r.num_frames for r in records)
     feats = frame_buffer(b, din, tmax, zero=True)
@@ -432,17 +437,17 @@ def _collate(records):
     labels = np.zeros(b)
     pseudo = np.zeros((b, tmax))
     has_pseudo = np.zeros(b)
-    for i, r in enumerate(records):
+    for i, (r, crop) in enumerate(rows):
         if r.input_dim != din:
             raise ConfigError("batch mixes feature dimensions")
         t = r.num_frames
-        feats[i, :, :t] = r.crops[0]
+        feats[i, :, :t] = crop
         mask[i, :t] = 1.0
         labels[i] = 1.0 if r.is_anomalous else 0.0
         if r.pseudo_probs is not None:
             pseudo[i, :t] = r.pseudo_probs
             has_pseudo[i] = 1.0
-    return Batch([r.id for r in records], feats, mask, labels, pseudo,
+    return Batch([r.id for r, _ in rows], feats, mask, labels, pseudo,
                  has_pseudo)
 
 
@@ -468,8 +473,9 @@ def batch_iter(records, batch_size, seed=0, mode="eval", epoch=0):
     """Batches of collated videos.
 
     Train mode shuffles with a permutation derived from (seed, epoch) and
-    rebalances so every batch contains both classes when possible; eval mode
-    preserves input order. Fully deterministic.
+    rebalances so every batch contains both classes when possible, and
+    collates each video's first crop; eval mode preserves input order and
+    collates every crop. Fully deterministic.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"bad batch mode {mode!r}")
@@ -483,4 +489,4 @@ def batch_iter(records, batch_size, seed=0, mode="eval", epoch=0):
     else:
         chunks = [idx[i:i + batch_size] for i in range(0, len(idx), batch_size)]
     for chunk in chunks:
-        yield _collate([records[i] for i in chunk])
+        yield _collate([records[i] for i in chunk], every_crop=mode == "eval")

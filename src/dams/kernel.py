@@ -44,8 +44,19 @@ byte for byte unless a bound is named):
     once for the variance and xhat. Its backward takes dgamma = sum(g*xhat)
     and dbeta = sum(g), and from them
     dx = (gamma*inv_std/n) * ((n*g - dbeta) - xhat*dgamma), channel-major.
-    Eval mode normalizes with the running statistics and keeps no backward
-    cache.
+  - In eval mode batch norm is a per-channel affine map of the running
+    statistics, folded into the conv before it (`batch_norm_fold`): one
+    conv1d with weight w*s and bias (b - mean)*s + beta,
+    s = gamma/sqrt(var + eps).
+
+Padding mask (eval forward only): a [B, T] `mask` is 1 on a row's real
+frames and 0 on the zeros that pad it to the batch's length. conv1d reads a
+padded frame as zero; avg_pool1d divides by the valid frames in each window
+(its input must already be zero on padded frames); mean_over over time
+divides the sum of the valid frames by the row's length; max_over over time
+never takes a padded frame. With a mask of ones each gives the bytes it
+gives without one, so a video scores the same in a padded batch as alone,
+up to the last bits of the gemms.
 """
 
 from __future__ import annotations
@@ -105,13 +116,25 @@ def zero_grads(params) -> None:
 # conv1d
 # ---------------------------------------------------------------------------
 
-def _pad_time(x, padding):
-    """`x` with `padding` zeros at both ends of the time axis."""
+def mask_frames(x, mask, out=None):
+    """`x` [B, C, T] with the frames where the [B, T] `mask` is 0 zeroed,
+    written into `out` (a new channel-major buffer by default)."""
+    if out is None:
+        out = frame_buffer(*x.shape)
+    return np.multiply(x, mask[:, None, :], out=out)
+
+
+def _pad_time(x, padding, mask=None):
+    """`x` with `padding` zeros at both ends of the time axis, and its
+    padded frames zeroed when a `mask` is given."""
     if not padding:
         return x
     B, C, T = x.shape
     xp = frame_buffer(B, C, T + 2 * padding, zero=True)
-    xp[:, :, padding:padding + T] = x
+    if mask is None:
+        xp[:, :, padding:padding + T] = x
+    else:
+        mask_frames(x, mask, out=xp[:, :, padding:padding + T])
     return xp
 
 
@@ -127,9 +150,10 @@ def _im2col(xp, K, To):
     return taps.reshape(C * K, B * To)
 
 
-def conv1d(x, w, b):
+def conv1d(x, w, b, mask=None):
     """1D cross-correlation, stride 1, zero-padded by K // 2 at both ends, so
-    output frame t is centred on input frame t (K odd).
+    output frame t is centred on input frame t (K odd). With a [B, T]
+    `mask`, the padded frames of `x` read as zero (K = 1 reads no neighbour).
 
     x: [B, Cin, T], w: [Cout, Cin, K], b: [Cout] -> out [B, Cout, T], a
     channel-major view ([Cout, B, T] in memory) of one [Cout, Cin*K] x
@@ -141,7 +165,7 @@ def conv1d(x, w, b):
         raise DimensionError(f"conv1d: input channels {cin} != kernel channels {cin_w}")
     if K % 2 == 0:
         raise DimensionError(f"conv1d: kernel {K} is not odd")
-    xp = _pad_time(x, K // 2)
+    xp = _pad_time(x, K // 2, mask)
     out = np.matmul(w.reshape(cout, cin * K), _im2col(xp, K, T))
     out += b[:, None]
     return out.reshape(cout, B, T).transpose(1, 0, 2), (xp, w)
@@ -185,14 +209,19 @@ def _window_sums(x, n):
     return S[:, :, n:] - S[:, :, :-n]
 
 
-def avg_pool1d(x, kernel):
+def avg_pool1d(x, kernel, mask=None):
     """The mean of the `kernel`-wide window centred on each frame; the
-    divisor counts only in-bounds frames."""
+    divisor counts only in-bounds frames. With a [B, T] `mask` it counts the
+    valid frames of the window's own row, and `x` must be zero on padded
+    frames; a padded frame with no valid frame in reach pools to 0."""
     if kernel < 1 or kernel % 2 == 0:
         raise DimensionError(f"avg_pool1d: kernel {kernel} is not odd and positive")
-    h, T = kernel // 2, x.shape[2]
-    t = np.arange(T)
-    counts = (np.minimum(t + h + 1, T) - np.maximum(t - h, 0)).astype(np.float64)
+    if mask is None:
+        h, T = kernel // 2, x.shape[2]
+        t = np.arange(T)
+        counts = (np.minimum(t + h + 1, T) - np.maximum(t - h, 0)).astype(np.float64)
+    else:  # a window sum of 0/1 values is exact; 0 counts divide a 0 sum
+        counts = np.maximum(_window_sums(mask[:, None, :], kernel), 1.0)
     out = _window_sums(x, kernel)
     out /= counts
     return out, (kernel, counts)
@@ -205,9 +234,15 @@ def avg_pool1d_backward(g, cache):
     return _window_sums(g / counts, kernel)
 
 
-def mean_over(x, axis):
-    """Mean along `axis`, which the output drops."""
-    return x.mean(axis=axis), (axis, x.shape[axis])
+def mean_over(x, axis, mask=None):
+    """Mean along `axis`, which the output drops. With a [B, T] `mask`
+    (time axis 2 only), the sum of each row's valid frames over its length;
+    that form has no backward."""
+    if mask is None:
+        return x.mean(axis=axis), (axis, x.shape[axis])
+    out = mask_frames(x, mask).sum(axis=2)
+    out /= mask.sum(axis=1)[:, None]
+    return out, None
 
 
 def mean_over_backward(g, cache):
@@ -219,10 +254,13 @@ def mean_over_backward(g, cache):
     return dx
 
 
-def max_over(x, axis):
+def max_over(x, axis, mask=None):
     """Max along `axis`, which the output drops; a tie goes to the first
     index. The index is found by the backward, so inference never looks
-    for it."""
+    for it. With a [B, T] `mask` (time axis 2 only) a padded frame reads as
+    -inf, so it never wins, not even over an all-negative row."""
+    if mask is not None:
+        x = np.where(mask[:, None, :] > 0, x, -np.inf)
     out = x.max(axis=axis)
     return out, (x, out, axis)
 
@@ -330,25 +368,17 @@ class BatchNormState:
         return cls(np.zeros(channels), np.ones(channels))
 
 
-def batch_norm1d(x, gamma, beta, state, train):
-    """Per-channel normalization over (B, T) with learnable scale/shift.
+def batch_norm1d(x, gamma, beta, state):
+    """Training-mode per-channel normalization over (B, T) with learnable
+    scale/shift; updates the running statistics.
 
-    Training takes the statistics with the arithmetic of x.mean and x.var
-    over (B, T): one sum divided by the count, and the centred input, whose
-    squares summed and divided by the count give the variance and which,
-    scaled in place, is xhat. Evaluation normalizes with the running
-    statistics in one buffer and returns no cache: nothing back-propagates
-    through eval mode.
+    The statistics take the arithmetic of x.mean and x.var over (B, T): one
+    sum divided by the count, and the centred input, whose squares summed
+    and divided by the count give the variance and which, scaled in place,
+    is xhat. Eval mode is `batch_norm_fold`.
     """
     B, C, T = x.shape
     n = B * T
-    if not train:
-        inv_std = 1.0 / np.sqrt(state.running_var[None, :, None] + BN_EPS)
-        out = x - state.running_mean[None, :, None]
-        out *= inv_std
-        out *= gamma[None, :, None]
-        out += beta[None, :, None]
-        return out, None
     if n < 2:
         raise DegenerateBatchError(f"batch_norm1d: B*T = {n} < 2")
     mean = x.sum(axis=(0, 2), keepdims=True)
@@ -370,6 +400,15 @@ def batch_norm1d(x, gamma, beta, state, train):
     out = xhat * gamma[None, :, None]
     out += beta[None, :, None]
     return out, (xhat, inv_std, gamma, n)
+
+
+def batch_norm_fold(w, b, gamma, beta, state):
+    """The weight and bias of one conv that runs conv1d(x, w, b) then
+    eval-mode batch norm, gamma*(h - running_mean)/sqrt(running_var + eps)
+    + beta: w*s and (b - running_mean)*s + beta, s = gamma/sqrt(running_var
+    + eps) (Jacob et al., CVPR 2018)."""
+    s = gamma / np.sqrt(state.running_var + BN_EPS)
+    return w * s[:, None, None], (b - state.running_mean) * s + beta
 
 
 def batch_norm1d_backward(g, cache):

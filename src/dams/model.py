@@ -21,7 +21,7 @@ import numpy as np
 from . import kernel
 from .amtpn import Amtpn, ConfigError, PyramidConfig
 from .cbam import Cbam, CbamConfig
-from .layers import BatchNorm1d, Conv1d, Layer, Relu, Sequential
+from .layers import Conv1d, ConvBn, Layer, Relu, Sequential
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -93,16 +93,15 @@ class Backbone(Layer):
     def __init__(self, input_dim, channels, depth, rng, name="backbone"):
         super().__init__()
         self.proj = Conv1d(input_dim, channels, 1, rng, f"{name}.proj")
-        self.blocks = [Sequential(Conv1d(channels, channels, 3, rng,
-                                         f"{name}.block{i}.conv"),
-                                  BatchNorm1d(channels, f"{name}.block{i}.bn"),
+        self.blocks = [Sequential(ConvBn(channels, channels, 3, rng,
+                                         f"{name}.block{i}"),
                                   Relu())
                        for i in range(depth)]
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, mask=None):
         h = self.proj.forward(x, train)
         for block in self.blocks:
-            h = h + block.forward(h, train)
+            h = h + block.forward(h, train, mask)
         return h
 
     def backward(self, g, need_dx=True):
@@ -119,7 +118,7 @@ class Head(Sequential):
                          Relu(),
                          Conv1d(hidden, 1, 1, rng, f"{name}.conv2"))
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, mask=None):
         return super().forward(x, train)[:, 0, :]
 
     def backward(self, g_logits):
@@ -140,16 +139,21 @@ class DamsModel(Layer):
                      if cfg.use_cbam else None)
         self.head = Head(cfg.channels, cfg.head_hidden, rng)
 
-    def forward(self, x, train=False, dropout_rng=None) -> ForwardOutput:
+    def forward(self, x, train=False, dropout_rng=None, mask=None) -> ForwardOutput:
+        """With a [B, T] padding `mask` (eval mode only), each row's outputs
+        on its own frames are those the row gets alone; padded frames hold
+        finite values that mean nothing."""
         p = self.cfg.dropout if train else 0.0
         if p > 0.0 and dropout_rng is None:
             raise ValueError("dropout requires an rng in train mode")
-        h = self.backbone.forward(x, train)
+        if train and mask is not None:
+            raise ValueError("a padding mask is taken in eval mode only")
+        h = self.backbone.forward(x, train, mask)
         weights = None
         if self.amtpn is not None:
-            h, weights = self.amtpn.fuse(h, train)
+            h, weights = self.amtpn.fuse(h, train, mask)
         if self.cbam is not None:
-            h = self.cbam.forward(h, train)
+            h = self.cbam.forward(h, train, mask)
         embeddings = h
         drop_mask = None
         if p > 0.0:

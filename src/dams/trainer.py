@@ -27,7 +27,7 @@ from . import losses as L
 from .amtpn import ConfigError
 from .data import (Batch, FeatureFileError, batch_iter, read_container,
                    write_container)
-from .layers import BatchNorm1d
+from .layers import ConvBn
 from .losses import LossConfig, NonFiniteLossError, UncertaintyWeights
 from .metrics import UndefinedMetricError, average_precision, roc_auc
 from .model import DamsModel, ModelConfig, pseudo_labels
@@ -296,25 +296,46 @@ class EvalReport:
         return {"auc": self.auc, "ap": self.ap, "per_video": self.per_video}
 
 
+def score_videos(model: DamsModel, records, batch_size):
+    """Per-frame anomaly scores of each video, averaged over its crops, in
+    input order.
+
+    Videos are taken in order of length (ties in input order), `batch_size`
+    at a time. A batch stacks every crop of its videos, one zero-padded row
+    each, into one eval forward whose padding mask keeps each row's scores
+    on its own frames those it gets alone.
+    """
+    order = sorted(range(len(records)), key=lambda i: records[i].num_frames)
+    batches = batch_iter([records[i] for i in order], batch_size, mode="eval")
+    scores = [None] * len(records)
+    for start, batch in zip(range(0, len(order), batch_size), batches):
+        frame_scores = model.forward(batch.features, mask=batch.mask).frame_scores
+        row = 0
+        for i in order[start:start + batch_size]:
+            n, t = len(records[i].crops), records[i].num_frames
+            scores[i] = frame_scores[row:row + n, :t].mean(axis=0)
+            row += n
+    return scores
+
+
 def score_video(model: DamsModel, record):
     """Per-frame anomaly scores for one video, averaged over crops."""
-    feats = kernel.frame_buffer(len(record.crops), *record.crops[0].shape)
-    np.stack(record.crops, out=feats)  # [ncrops, Din, T], channel-major
-    return model.forward(feats, train=False).frame_scores.mean(axis=0)
+    return score_videos(model, [record], 1)[0]
 
 
-def evaluate(model: DamsModel, records) -> EvalReport:
+def evaluate(model: DamsModel, records,
+             batch_size=TrainConfig.eval_batch_size) -> EvalReport:
     """Frame-level AUC/AP over every video carrying ground truth.
 
-    Videos are scored one at a time (no cross-video padding) so border
-    frames see only their own video. With no ground truth at all both
-    metrics are undefined: `UndefinedMetricError`.
+    Videos are scored in length-sorted batches of `batch_size`
+    (`score_videos`); the padding mask keeps each video's scores those it
+    gets alone, up to the last bits of the gemms. With no ground truth at
+    all both metrics are undefined: `UndefinedMetricError`.
     """
     per_video = []
     all_scores = []
     all_gt = []
-    for rec in records:
-        scores = score_video(model, rec)
+    for rec, scores in zip(records, score_videos(model, records, batch_size)):
         row = {"id": rec.id, "scores": scores.tolist()}
         if rec.frame_gt is not None:
             row["gt"] = rec.frame_gt.astype(np.int64).tolist()
@@ -375,7 +396,7 @@ class TrainResult:
 
 def _has_batch_norm(layer):
     """Whether `layer` or a layer below it is a batch norm."""
-    return isinstance(layer, BatchNorm1d) or any(map(_has_batch_norm, layer.children()))
+    return isinstance(layer, ConvBn) or any(map(_has_batch_norm, layer.children()))
 
 
 def _log_line(entry):
@@ -458,7 +479,7 @@ def train(cfg: TrainConfig, train_records, val_records=None, out_dir=None,
                          sigma2=[float(s) for s in breakdown.sigma2])
         # a skipped iteration still validates on schedule
         if val_records is not None and (it + 1) % cfg.validate_every == 0:
-            report = evaluate(model, val_records)
+            report = evaluate(model, val_records, cfg.eval_batch_size)
             entry["val_auc"] = report.auc
             entry["val_ap"] = report.ap
             if report.auc > best_auc:
@@ -543,7 +564,7 @@ def ablate(cfg: TrainConfig, train_records, val_records, variants=None,
         for seed in seeds:
             vcfg = dataclasses.replace(apply_variant(cfg, switches), seed=seed)
             result = train(vcfg, train_records, val_records)
-            report = evaluate(result.model, val_records)
+            report = evaluate(result.model, val_records, vcfg.eval_batch_size)
             aucs.append(report.auc)
             aps.append(report.ap)
         rows.append({"variant": name,

@@ -49,14 +49,12 @@ class TestTpp:
         x = rng(3).standard_normal((2, 4, 6))
         branch = tpp.forward(x, train=True)[0]
         layers = tpp.branches[0].layers
-        assert [type(layer).__name__ for layer in layers] == [
-            "Conv1d", "BatchNorm1d", "Relu"]
-        conv, bn, _ = layers
-        conv_out, _ = kernel.conv1d(x, conv.w.value, conv.b.value)
+        assert [type(layer).__name__ for layer in layers] == ["ConvBn", "Relu"]
+        conv_bn, _ = layers
+        conv_out, _ = kernel.conv1d(x, conv_bn.w.value, conv_bn.b.value)
         state = kernel.BatchNormState.create(4)
-        bn_out, _ = kernel.batch_norm1d(x=conv_out, gamma=bn.gamma.value,
-                                        beta=bn.beta.value, state=state,
-                                        train=True)
+        bn_out, _ = kernel.batch_norm1d(x=conv_out, gamma=conv_bn.gamma.value,
+                                        beta=conv_bn.beta.value, state=state)
         expected, _ = kernel.relu(bn_out)
         np.testing.assert_allclose(branch, expected, atol=1e-12)
 

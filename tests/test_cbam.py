@@ -31,6 +31,20 @@ class TestChannelAttention:
         assert m.shape == (3, 8, 1)
         assert np.all(m > 0) and np.all(m < 1)
 
+    def test_padded_all_negative_rows(self):
+        """With a mask, the temporal max of an all-negative row never takes
+        the zeros that pad it, and the mean counts its own frames only."""
+        ca = ChannelAttention(4, 2, rng(4))
+        f = kernel.frame_buffer(2, 4, 9, zero=True)
+        f[...] = -np.abs(rng(5).standard_normal((2, 4, 9))) - 1.0
+        f[1, :, 3:] = 0.0
+        mask = np.ones((2, 9))
+        mask[1, 3:] = 0.0
+        got = ca.forward(f, mask=mask)
+        np.testing.assert_allclose(got[0], ca.forward(f[:1])[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], ca.forward(f[1:, :, :3])[0], rtol=0,
+                                   atol=1e-12)
+
     def test_zero_mlp_gives_half(self):
         ca = ChannelAttention(8, 2, rng(2))
         lin2 = ca.mlp.layers[2]

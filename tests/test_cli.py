@@ -15,7 +15,7 @@ from dams.data import load_dataset
 from dams.metrics import average_precision, roc_auc
 from dams.trainer import (ABLATION_VARIANTS, EvalReport, apply_variant,
                           config_from_dict, config_hash, load_checkpoint,
-                          load_model_for_inference, score_video)
+                          load_model_for_inference, score_videos)
 
 
 @pytest.fixture
@@ -115,11 +115,11 @@ class TestTrain:
     test_resume_fault_exit_code = fault_test("resume-fault")
 
 
-def evaluate_reference(model, records):
-    """`evaluate` with its per-element row conversions."""
+def evaluate_reference(records, video_scores):
+    """`evaluate` with its per-element row conversions; `video_scores[i]`
+    holds the scores of `records[i]`."""
     per_video, all_scores, all_gt = [], [], []
-    for rec in records:
-        scores = score_video(model, rec)
+    for rec, scores in zip(records, video_scores, strict=True):
         row = {"id": rec.id, "scores": [float(s) for s in scores]}
         if rec.frame_gt is not None:
             row["gt"] = [int(v) for v in rec.frame_gt]
@@ -153,16 +153,16 @@ class TestEvalScorePlot:
         assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt),
                      "--out", str(report), "--csv", str(scores)]) == EXIT_OK
         records = load_dataset(dataset)
-        model, _, _ = load_model_for_inference(ckpt)
-        want = evaluate_reference(model, records)
+        model, cfg, _ = load_model_for_inference(ckpt)
+        video_scores = score_videos(model, records, cfg.eval_batch_size)
+        want = evaluate_reference(records, video_scores)
         assert report.read_text() == json.dumps(want.to_dict(), sort_keys=True) + "\n"
         write_score_csv_reference(tmp_path / "want.csv", records,
                                   [row["scores"] for row in want.per_video])
         assert scores.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert main(["score", "--dataset", str(dataset), "--checkpoint", str(ckpt),
                      "--out", str(scores)]) == EXIT_OK
-        write_score_csv_reference(tmp_path / "want.csv", records,
-                                  [score_video(model, rec) for rec in records])
+        write_score_csv_reference(tmp_path / "want.csv", records, video_scores)
         assert scores.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_eval_report(self, tmp_path, dataset, trained):
@@ -189,21 +189,23 @@ class TestEvalScorePlot:
 
     def test_eval_csv_scores_each_video_once(self, tmp_path, dataset, trained,
                                              monkeypatch):
-        import dams.cli
+        """`eval --csv` puts each video in exactly one scorer batch, and its
+        CSV equals `score`'s byte for byte."""
         import dams.trainer
-        calls = []
-        real = dams.trainer.score_video
+        batches = []
+        real = dams.trainer.batch_iter
 
-        def counting(model, record):
-            calls.append(record.id)
-            return real(model, record)
-        monkeypatch.setattr(dams.trainer, "score_video", counting)
-        monkeypatch.setattr(dams.cli, "score_video", counting)
+        def recording(*args, **kw):
+            for batch in real(*args, **kw):
+                batches.append(list(dict.fromkeys(batch.video_ids)))  # rows are crops
+                yield batch
+        monkeypatch.setattr(dams.trainer, "batch_iter", recording)
         ckpt = str(trained / "checkpoint_final.ckpt")
         eval_csv = tmp_path / "eval.csv"
         assert main(["eval", "--dataset", str(dataset), "--checkpoint", ckpt,
                      "--csv", str(eval_csv)]) == EXIT_OK
-        assert calls == [rec.id for rec in load_dataset(dataset)]
+        ids = [vid for batch in batches for vid in batch]
+        assert sorted(ids) == sorted(rec.id for rec in load_dataset(dataset))
         score_csv = tmp_path / "score.csv"
         assert main(["score", "--dataset", str(dataset), "--checkpoint", ckpt,
                      "--out", str(score_csv)]) == EXIT_OK

@@ -377,6 +377,27 @@ class TestBatching:
                 t = rec.num_frames
                 assert np.array_equal(batch.features[i, :, :t], rec.crops[0])
 
+    def test_eval_stacks_every_crop(self):
+        """Eval mode gives each crop a row, a video's crops in consecutive
+        rows; train mode collates each video's first crop."""
+        records = synthesize_dataset(SyntheticSpec(num_videos=5, t_min=4, t_max=9,
+                                                   input_dim=3, num_crops=3))
+        rows = [(b, i) for b in batch_iter(records, 2, mode="eval")
+                for i in range(len(b.video_ids))]
+        assert [b.video_ids[i] for b, i in rows] == [r.id for r in records
+                                                     for _ in range(3)]
+        for (b, i), (rec, crop) in zip(rows, [(r, c) for r in records for c in r.crops]):
+            t = rec.num_frames
+            assert np.array_equal(b.features[i, :, :t], crop)
+            assert b.mask[i, :t].all() and not b.mask[i, t:].any()
+            assert not b.features[i, :, t:].any()
+        for batch in batch_iter(records, 2, mode="train"):
+            assert len(batch.video_ids) == len(set(batch.video_ids))
+            for i, vid in enumerate(batch.video_ids):
+                rec = next(r for r in records if r.id == vid)
+                assert np.array_equal(batch.features[i, :, :rec.num_frames],
+                                      rec.crops[0])
+
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             list(batch_iter(self._records(), 2, mode="sideways"))

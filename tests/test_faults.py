@@ -223,7 +223,7 @@ SCORE_CSVS = {  # id: (CSV bytes, the line stderr names, None for a valid file)
 WRONG_KIND = {  # id: (argv that gives {file} where the other kind belongs, setup)
     "plot-scores-dir": (PLOT, MKDIR),
     "eval-out-dir": (EVAL + " --out {file}", MKDIR),
-    "eval-csv-dir": (EVAL + " --csv {file}", MKDIR),
+    "eval-csv-dir": (EVAL + " --csv {file} --out {out}", MKDIR),
     "score-out-dir": (SCORE + " --out {file}", MKDIR),
     "train-out-file": ("train --dataset {dataset} --out {file}", EMPTY),
     "synth-out-file": (SYNTH.replace("{out}", "{file}"), EMPTY),
@@ -284,7 +284,8 @@ FAULTS = [
             "eval --dataset {dataset} --checkpoint {file}", ("flip", offset))
       for offset in (-10, 30)),  # payload, JSON header
     *(Fault("path-of-the-wrong-kind", fid, 4, argv, setup,
-            {"startswith": "error: format: ", "in": "{file}"}, True)
+            {"startswith": "error: format: ", "in": "{file}", "not in stdout": "auc"},
+            True)
       for fid, (argv, setup) in WRONG_KIND.items()),
     Fault("dataset-without-frame-gt", "eval-5", 5, EVAL, NO_FRAME_GT, UNDEFINED),
     Fault("dataset-without-frame-gt", "train-5", 5,  # validates at iteration 2

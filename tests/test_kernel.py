@@ -515,11 +515,32 @@ def assert_within_bn_backward_bound(got, ref, g, cache):
     assert (np.abs(got - ref) <= bound).all(), np.max(np.abs(got - ref) - bound)
 
 
+def assert_within_fold_bound(got, ref, x, gamma, beta, state):
+    """|got - ref| <= 7*eps*A elementwise, A = |s*x| + |s*mean| + |beta|,
+    s = gamma/sqrt(var + eps) of the running statistics.
+
+    Exactly, y = s*x - s*mean + beta. The fold computes s in at most three
+    roundings (the sum, the square root, the quotient; 3u relative, u =
+    eps/2), then s*x, s*mean, the bias sum and the output sum, one rounding
+    each: within 6u*A of y to first order. The reference's
+    gamma*((x - mean)*inv_std) + beta takes three roundings for inv_std and
+    four more, each of a term bounded by A: within 7u*A. The two differ by
+    at most 13u*A <= 7*eps*A.
+    """
+    s = np.abs(gamma / np.sqrt(state.running_var + kernel.BN_EPS))[None, :, None]
+    a = (s * np.abs(x) + s * np.abs(state.running_mean)[None, :, None]
+         + np.abs(beta)[None, :, None])
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= 7 * np.finfo(np.float64).eps * a).all()
+
+
 class TestBatchNormBytes:
     """batch_norm1d, its running statistics and the backward's dgamma and
     dbeta give the reference's bytes and layouts; the backward's dx is
     channel-major and within `assert_within_bn_backward_bound` of the
-    reference. Eval mode keeps no backward cache."""
+    reference. Eval mode, batch norm folded into an identity 1x1 conv
+    (`batch_norm_fold`), leaves the running statistics as they are and is
+    within `assert_within_fold_bound` of the reference."""
 
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("x_layout", ["c", "cm"])
@@ -535,14 +556,19 @@ class TestBatchNormBytes:
         stats = rng.standard_normal(C), rng.uniform(0.5, 2.0, C)
         got_state = kernel.BatchNormState(stats[0].copy(), stats[1].copy())
         ref_state = kernel.BatchNormState(stats[0].copy(), stats[1].copy())
-        out, cache = kernel.batch_norm1d(x, gamma, beta, got_state, train)
+        if train:
+            out, cache = kernel.batch_norm1d(x, gamma, beta, got_state)
+        else:
+            out, _ = kernel.conv1d(x, *kernel.batch_norm_fold(
+                np.eye(C)[:, :, None], np.zeros(C), gamma, beta, got_state))
         ref, ref_cache = batch_norm1d_reference(x, gamma, beta, ref_state, train)
-        assert_same_array(out, ref)
         assert_same_array(got_state.running_mean, ref_state.running_mean)
         assert_same_array(got_state.running_var, ref_state.running_var)
         if not train:
-            assert cache is None
+            assert_channel_major(out)
+            assert_within_fold_bound(out, ref, x, gamma, beta, ref_state)
             return
+        assert_same_array(out, ref)
         g = wide_range(rng, shape, g_layout)
         check_batch_norm_backward(g, cache, ref_cache)
 
@@ -557,7 +583,7 @@ class TestBatchNormBytes:
         gamma = wide_range(rng, (1, C, 1), "c").reshape(C)
         beta = rng.standard_normal(C)
         state = kernel.BatchNormState.create(C)
-        _, cache = kernel.batch_norm1d(x, gamma, beta, state, True)
+        _, cache = kernel.batch_norm1d(x, gamma, beta, state)
         _, ref_cache = batch_norm1d_reference(x, gamma, beta,
                                               kernel.BatchNormState.create(C), True)
         check_batch_norm_backward(wide_range(rng, shape, layout), cache, ref_cache)
@@ -640,7 +666,8 @@ class TestFrameLayout:
 
     def test_score_video(self, monkeypatch):
         """`score_video` stacks the crops into a channel-major buffer, so the
-        projection's im2col reads it as a view."""
+        projection's im2col reads it as a view; batch norm runs folded into
+        its conv, so no batch-norm kernel runs."""
         from dams.data import SyntheticSpec, synthesize_dataset
         from dams.trainer import score_video
 
@@ -648,8 +675,73 @@ class TestFrameLayout:
                                                   input_dim=16, num_crops=10,
                                                   seed=0))[0]
         calls = self.run(monkeypatch, lambda cfg, net, weights: score_video(net, record))
-        assert {name for name, *_ in calls} == {"conv1d", "avg_pool1d", "batch_norm1d"}
+        assert {name for name, *_ in calls} == {"conv1d", "avg_pool1d"}
         assert calls[0][1][0].shape == (10, 16, 30)  # the projection's input
+
+
+def ragged_batch(rng, C, lengths):
+    """A zero-padded channel-major [B, C, max T] batch of standard normal
+    rows of the given lengths, and its [B, T] mask."""
+    T = max(lengths)
+    x = kernel.frame_buffer(len(lengths), C, T, zero=True)
+    mask = np.zeros((len(lengths), T))
+    for i, t in enumerate(lengths):
+        x[i, :, :t] = rng.standard_normal((C, t))
+        mask[i, :t] = 1.0
+    return x, mask
+
+
+MASKED_OPS = {  # name: (op(x, mask), whether a row alone gives the same bytes)
+    **{f"conv1d-{K}": (lambda x, m, K=K: kernel.conv1d(
+        x, np.random.default_rng(K).standard_normal((5, x.shape[1], K)),
+        np.arange(5.0), m)[0], False) for K in (1, 3, 7)},
+    **{f"avg_pool1d-{n}": (lambda x, m, n=n: kernel.avg_pool1d(x, n, m)[0], True)
+       for n in (3, 9, 27)},
+    "mean_over": (lambda x, m: kernel.mean_over(x, 2, m)[0], False),
+    "max_over": (lambda x, m: kernel.max_over(x, 2, m)[0], True),
+}
+
+
+class TestPaddingMask:
+    """The padding mask of the eval forward: each row of a zero-padded
+    batch gets, on its own frames, what it gets alone; a mask of ones gives
+    the bytes of no mask."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", list(MASKED_OPS))
+    def test_rows_as_alone(self, name):
+        op, exact = MASKED_OPS[name]
+        lengths = (1, 5, 12, 40, 13)
+        x, mask = ragged_batch(np.random.default_rng(0), 4, lengths)
+        got = op(x, mask)
+        assert np.isfinite(got).all()
+        for i, t in enumerate(lengths):
+            alone = op(x[i:i + 1, :, :t], None)[0]
+            row = got[i, ..., :t] if got.ndim == 3 else got[i]
+            if exact:
+                assert row.tobytes() == np.ascontiguousarray(alone).tobytes()
+            else:
+                np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(MASKED_OPS))
+    def test_ones_mask_keeps_bytes(self, name):
+        op, _ = MASKED_OPS[name]
+        x, mask = ragged_batch(np.random.default_rng(1), 4, (30, 30, 30))
+        assert op(x, mask).tobytes() == op(x, None).tobytes()
+
+    def test_max_over_all_negative_padded_row(self):
+        """Zeros padding an all-negative row never win its masked max."""
+        x, mask = ragged_batch(np.random.default_rng(2), 3, (2, 6))
+        x[0, :, :2] = -np.abs(x[0, :, :2]) - 1.0
+        got, _ = kernel.max_over(x, 2, mask)
+        np.testing.assert_array_equal(got[0], x[0, :, :2].max(axis=1))
+        assert (got[0] < 0).all()
+
+    def test_avg_pool_far_padding_pools_to_zero(self):
+        """A padded frame with no valid frame in its window pools to 0."""
+        x, mask = ragged_batch(np.random.default_rng(3), 2, (1, 40))
+        out, _ = kernel.avg_pool1d(x, 3, mask)
+        assert not out[0, :, 2:].any()
 
 
 class TestMeanOver:
@@ -741,32 +833,34 @@ class TestBatchNorm:
     def test_train_mode_normalizes(self):
         x = np.random.default_rng(0).standard_normal((4, 3, 8)) * 2 + 5
         state = kernel.BatchNormState.create(3)
-        out, _ = kernel.batch_norm1d(x, np.ones(3), np.zeros(3), state, train=True)
+        out, _ = kernel.batch_norm1d(x, np.ones(3), np.zeros(3), state)
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-4)
 
     def test_eval_identity_with_unit_running_stats(self):
+        """Eval mode, folded into an identity 1x1 conv, is the identity up to
+        the eps under the square root."""
         x = np.random.default_rng(1).standard_normal((2, 3, 4))
         state = kernel.BatchNormState.create(3)  # mean 0, var 1
-        out, _ = kernel.batch_norm1d(x, np.ones(3), np.zeros(3), state, train=False)
+        out, _ = kernel.conv1d(x, *kernel.batch_norm_fold(
+            np.eye(3)[:, :, None], np.zeros(3), np.ones(3), np.zeros(3), state))
         np.testing.assert_allclose(out, x, atol=1e-5)
 
     def test_hand_case(self):
         x = arr3([[[1.0, 3.0]]])
         state = kernel.BatchNormState.create(1)
-        out, _ = kernel.batch_norm1d(x, np.ones(1), np.zeros(1), state, train=True)
+        out, _ = kernel.batch_norm1d(x, np.ones(1), np.zeros(1), state)
         np.testing.assert_allclose(out, arr3([[[-1.0, 1.0]]]), atol=1e-5)
 
     def test_degenerate_batch_raises(self):
         state = kernel.BatchNormState.create(1)
         with pytest.raises(DegenerateBatchError):
-            kernel.batch_norm1d(np.zeros((1, 1, 1)), np.ones(1), np.zeros(1),
-                                state, train=True)
+            kernel.batch_norm1d(np.zeros((1, 1, 1)), np.ones(1), np.zeros(1), state)
 
     def test_running_stats_momentum(self):
         x = np.full((1, 1, 4), 2.0)
         state = kernel.BatchNormState.create(1)
-        kernel.batch_norm1d(x, np.ones(1), np.zeros(1), state, train=True)
+        kernel.batch_norm1d(x, np.ones(1), np.zeros(1), state)
         np.testing.assert_allclose(state.running_mean, [0.9 * 0 + 0.1 * 2.0])
         np.testing.assert_allclose(state.running_var, [0.9 * 1 + 0.1 * 0.0])
 

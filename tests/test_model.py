@@ -5,9 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from dams import kernel
 from dams.amtpn import ConfigError, PyramidConfig
 from dams.cbam import CbamConfig
 from dams.checks import SMALL_MODEL
+from dams.data import VideoRecord, batch_iter
+from dams.layers import ConvBn
 from dams.model import (Backbone, ClipPathConfig, DamsModel,
                         DegenerateEmbeddingError, ModelConfig,
                         clip_binary_probs, clip_scores, pseudo_labels)
@@ -135,6 +138,92 @@ class TestModelForward:
                                          max_entries_per_param=3,
                                          rng=np.random.default_rng(seed))
         assert report.passed, report.max_rel_error
+
+
+def conv_bns(layer):
+    """Every `ConvBn` at or below `layer`."""
+    if isinstance(layer, ConvBn):
+        yield layer
+    for child in layer.children():
+        yield from conv_bns(child)
+
+
+def perturbed_model(cfg, seed=0):
+    """A model of `cfg` whose batch norms hold random scales, shifts and
+    running statistics, so that their fold is not the identity."""
+    model = DamsModel(cfg, rng(seed))
+    r = rng(seed + 1)
+    for layer in conv_bns(model):
+        c = layer.gamma.value.size
+        layer.gamma.value[...] = r.uniform(0.5, 1.5, c)
+        layer.beta.value[...] = r.standard_normal(c)
+        layer.state.running_mean[...] = r.standard_normal(c)
+        layer.state.running_var[...] = r.uniform(0.2, 3.0, c)
+    return model
+
+
+def ragged_videos(input_dim=12, seed=0):
+    """Videos of T = 1 and T < 13 (the widest pool's half-width) next to
+    T = 128, one of ten crops and one of all-negative features."""
+    r = rng(seed)
+    shapes = ((1, 1), (5, 10), (12, 1), (128, 2), (40, 1), (13, 3))
+    videos = [VideoRecord(f"v{i}", [r.standard_normal((input_dim, t))
+                                    for _ in range(crops)], "normal")
+              for i, (t, crops) in enumerate(shapes)]
+    videos[4].crops[0] = -np.abs(videos[4].crops[0]) - 1.0
+    return videos
+
+
+PADDING_MODELS = [(variant, 1) for variant in ABLATION_VARIANTS] + [("full", 0),
+                                                                    ("full", 2)]
+
+
+class TestPaddingMask:
+    """In eval mode, a row of a zero-padded batch scores its own frames as
+    the row's crop alone does: mask-aware convs, pools and temporal
+    reductions (ROADMAP item 3, eval half)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant,depth", PADDING_MODELS)
+    def test_ragged_batch_rows_score_as_alone(self, variant, depth):
+        cfg = apply_variant(TrainConfig(model=ModelConfig(
+            input_dim=12, channels=16, depth=depth)), ABLATION_VARIANTS[variant]).model
+        model = perturbed_model(cfg)
+        videos = ragged_videos()
+        batch = next(batch_iter(videos, len(videos), mode="eval"))
+        logits = model.forward(batch.features, mask=batch.mask).frame_logits
+        assert np.isfinite(logits).all()  # padded frames included
+        row = 0
+        for video in videos:
+            for crop in video.crops:
+                alone = model.forward(crop[None]).frame_logits[0]
+                np.testing.assert_allclose(logits[row, :video.num_frames], alone,
+                                           rtol=0, atol=1e-12)
+                row += 1
+        assert row == len(logits)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_folded_matches_unfolded(self, monkeypatch, depth):
+        """Eval-mode batch norm folded into its conv against conv then
+        batch norm of the running statistics, on a padded batch."""
+        model = perturbed_model(ModelConfig(input_dim=12, channels=16, depth=depth))
+        batch = next(batch_iter(ragged_videos(), 6, mode="eval"))
+        folded = model.forward(batch.features, mask=batch.mask).frame_logits
+
+        def unfolded(self, x, train=False, mask=None):
+            h, _ = kernel.conv1d(x, self.w.value, self.b.value, mask)
+            s = self.state
+            xhat = ((h - s.running_mean[None, :, None])
+                    / np.sqrt(s.running_var[None, :, None] + kernel.BN_EPS))
+            return xhat * self.gamma.value[None, :, None] + self.beta.value[None, :, None]
+        monkeypatch.setattr(ConvBn, "forward", unfolded)
+        want = model.forward(batch.features, mask=batch.mask).frame_logits
+        np.testing.assert_allclose(folded, want, rtol=0, atol=1e-12)
+
+    def test_mask_in_train_mode_refused(self):
+        model = DamsModel(SMALL, rng(0))
+        with pytest.raises(ValueError, match="eval mode only"):
+            model.forward(np.zeros((2, 16, 4)), train=True, mask=np.ones((2, 4)))
 
 
 def _sha256_lines(names):

@@ -19,6 +19,7 @@ from dams.cbam import CbamConfig
 from dams.data import (BadMagicError, ChecksumError, FeatureFileError,
                        SyntheticSpec, synthesize_dataset)
 from dams.losses import LossConfig, NonFiniteLossError
+from dams.metrics import average_precision, roc_auc
 from dams.model import ClipPathConfig, ModelConfig
 from dams.trainer import (ABLATION_VARIANTS, Adam, TrainConfig, apply_variant,
                           build_model, config_from_dict, config_hash,
@@ -457,6 +458,26 @@ class TestEvaluate:
         np.testing.assert_allclose(scores, np.mean(per_crop, axis=0),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("batch_size", [1, 5, 12])
+    def test_batched_evaluate_matches_one_video_scoring(self, batch_size):
+        """Length-sorted batches of 3-crop videos of 1 to 40 frames, scored
+        by a trained model: each video's scores are within 1e-12 of its crops
+        run alone, the report rows come in input order, and AUC and AP are
+        those of the one-video scores."""
+        records = synthesize_dataset(SyntheticSpec(num_videos=12, t_min=1, t_max=40,
+                                                   input_dim=6, num_crops=3, seed=2))
+        model = train(small_config(max_iterations=3), small_records()).model
+        report = evaluate(model, records, batch_size)
+        assert [row["id"] for row in report.per_video] == [r.id for r in records]
+        alone = [np.mean([model.forward(c[None]).frame_scores[0] for c in r.crops],
+                         axis=0) for r in records]
+        for row, want in zip(report.per_video, alone):
+            np.testing.assert_allclose(row["scores"], want, rtol=0, atol=1e-12)
+        scores = np.concatenate(alone)
+        gt = np.concatenate([r.frame_gt for r in records])
+        assert (report.auc, report.ap) == (roc_auc(scores, gt),
+                                           average_precision(scores, gt))
+
     def test_evaluate_report_structure(self):
         records = small_records()
         model, _ = build_model(small_config())
@@ -467,7 +488,7 @@ class TestEvaluate:
         assert set(d) == {"auc", "ap", "per_video"}
 
 
-MODULE_CLASSES = {"Conv1d", "Linear", "BatchNorm1d", "AvgPool1d", "Relu",
+MODULE_CLASSES = {"Conv1d", "Linear", "ConvBn", "AvgPool1d", "Relu",
                   "Sigmoid", "Sequential", "Gate", "Mean", "Max", "Tpp", "Aff", "Tce", "ChannelAttention",
                   "TemporalAttention", "Cbam", "Amtpn", "Backbone", "Head",
                   "DamsModel"}
